@@ -43,7 +43,13 @@ fn bench_parallel_search(c: &mut Criterion) {
             // Fresh engine per iteration so the memo cache never turns
             // the measured work into a lookup.
             b.iter(|| {
-                let tool = Spotlight::with_engine(cfg, EvalEngine::maestro().without_cache());
+                let tool = Spotlight::with_engine(
+                    cfg,
+                    EvalEngine::builder()
+                        .no_cache()
+                        .build()
+                        .expect("plain engine builds"),
+                );
                 black_box(tool.optimize_software(&hw, &models, 0))
             })
         });
@@ -59,7 +65,13 @@ fn bench_parallel_search(c: &mut Criterion) {
         .expect("bench config is valid");
     group.bench_function("cold_every_iter", |b| {
         b.iter(|| {
-            let tool = Spotlight::with_engine(cfg, EvalEngine::maestro().without_cache());
+            let tool = Spotlight::with_engine(
+                cfg,
+                EvalEngine::builder()
+                    .no_cache()
+                    .build()
+                    .expect("plain engine builds"),
+            );
             black_box(tool.optimize_software(&hw, &models, 0))
         })
     });

@@ -19,7 +19,7 @@ use spotlight_eval::EvalEngine;
 use spotlight_maestro::Objective;
 
 fn bench_search_step(c: &mut Criterion) {
-    let model = EvalEngine::maestro();
+    let model = EvalEngine::default();
     let hw = Baseline::NvdlaLike.edge_config();
     let layer = ConvLayer::new(1, 128, 64, 3, 3, 28, 28);
 

@@ -30,7 +30,7 @@ const SEEDS: u64 = 5;
 const SAMPLES: usize = 80;
 
 fn main() {
-    let model = EvalEngine::maestro();
+    let model = EvalEngine::default();
     let hw = Baseline::NvdlaLike.edge_config();
     let layers = [
         ("resnet_conv3x3", ConvLayer::new(1, 128, 64, 3, 3, 28, 28)),

@@ -61,7 +61,7 @@ fn run(engine: EvalEngine) -> CodesignOutcome {
 }
 
 fn main() {
-    let full = run(EvalEngine::by_name("maestro").expect("backend"));
+    let full = run(EvalEngine::default());
     let ladder = run(EvalEngine::builder()
         .backend("maestro")
         .fidelity(Some(LADDER.parse::<FidelitySpec>().expect("valid spec")))

@@ -19,6 +19,7 @@ use spotlight::scenarios::{run_confuciux, run_hasco};
 use spotlight::variants::Variant;
 use spotlight_bench::{models_from_env, observer_from_env, Budgets};
 use spotlight_maestro::Objective;
+use spotlight_obs::Observer;
 
 fn print_series(metric: &str, model: &str, config: &str, trial: u64, series: &[(u64, f64)]) {
     for (evals, best) in series {
@@ -57,7 +58,7 @@ fn main() {
                         .objective(objective)
                         .build()
                         .expect("derived from a valid config");
-                    let out = run_confuciux(&cfg, model);
+                    let out = run_confuciux(&cfg, model, &Observer::null());
                     print_series(&metric, model.name(), "ConfuciuX", t, &out.eval_trace);
                 }
             }
@@ -69,7 +70,7 @@ fn main() {
                         .objective(objective)
                         .build()
                         .expect("derived from a valid config");
-                    let out = run_hasco(&cfg, model);
+                    let out = run_hasco(&cfg, model, &Observer::null());
                     // HASCO: the paper reports only the best of 10 trials
                     // (per-sample data unavailable); we have the series,
                     // so print it like the others.

@@ -11,6 +11,7 @@ use spotlight::Variant;
 use spotlight_accel::Baseline;
 use spotlight_maestro::Objective;
 use spotlight_models::Model;
+use spotlight_obs::Observer;
 
 use crate::{map_trials, observer_from_env, stats, Budgets, Stats};
 
@@ -149,7 +150,7 @@ pub fn main_edge(budgets: &Budgets, models: &[Model]) -> Vec<Row> {
                         .objective(objective)
                         .build()
                         .expect("derived from a valid config");
-                    run_confuciux(&cfg, model).best_cost
+                    run_confuciux(&cfg, model, &Observer::null()).best_cost
                 })
                 .collect();
             rows.push(Row {
@@ -168,7 +169,7 @@ pub fn main_edge(budgets: &Budgets, models: &[Model]) -> Vec<Row> {
                         .objective(objective)
                         .build()
                         .expect("derived from a valid config");
-                    run_hasco(&cfg, model).best_cost
+                    run_hasco(&cfg, model, &Observer::null()).best_cost
                 })
                 .collect();
             rows.push(Row {
@@ -230,7 +231,7 @@ pub fn ablation(budgets: &Budgets, models: &[Model], objective: Objective) -> Ve
                         .objective(objective)
                         .build()
                         .expect("derived from a valid config");
-                    run_confuciux(&cfg, model).best_cost
+                    run_confuciux(&cfg, model, &Observer::null()).best_cost
                 })
                 .collect();
             rows.push(Row {

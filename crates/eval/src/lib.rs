@@ -63,7 +63,7 @@
 //! # Fidelity model
 //!
 //! A [`FidelitySpec`] turns the engine multi-fidelity: searches may
-//! evaluate through [`EvalEngine::evaluate_at`] with a [`Fidelity`] tag,
+//! evaluate through [`EvalEngine::measure`] with a [`Fidelity`] tag,
 //! and cheap rungs measure with fewer replicates or a coarser backend.
 //! The memo cache is keyed by the tag, so cheap and full observations
 //! never alias, and cheap reports carry the rung's calibrated variance
@@ -109,7 +109,7 @@ use spotlight_timeloop::{TimeloopError, TimeloopModel};
 /// Stable names of every shipped backend, in CLI display order.
 pub const BACKEND_NAMES: [&str; 3] = ["maestro", "sim", "timeloop"];
 
-/// Error for [`EvalEngine::by_name`]: the requested backend does not
+/// Error for [`backend_by_name`]: the requested backend does not
 /// exist. The `Display` form lists every valid name, so front ends (the
 /// CLI included) print this instead of maintaining their own copy of the
 /// backend menu.
@@ -348,9 +348,16 @@ impl CostBackend for TimeloopBackend {
 }
 
 /// Builds the boxed backend named by `name` (see [`BACKEND_NAMES`]).
-/// The building block behind [`EvalEngine::by_name`], exposed so
-/// callers can decorate the backend (e.g. with
-/// [`FaultInjectingBackend`]) before handing it to the engine.
+/// The building block behind [`EvalEngineBuilder::backend`], exposed so
+/// front ends can validate a name up front and callers can decorate the
+/// backend before handing it to [`EvalEngineBuilder::custom_backend`].
+/// The error's `Display` lists the valid names:
+///
+/// ```
+/// use spotlight_eval::backend_by_name;
+/// let err = backend_by_name("verilator").err().unwrap();
+/// assert!(err.to_string().contains("maestro, sim, timeloop"));
+/// ```
 pub fn backend_by_name(name: &str) -> Result<Box<dyn CostBackend>, UnknownBackend> {
     match name {
         "maestro" => Ok(Box::new(MaestroBackend::default())),
@@ -455,7 +462,7 @@ impl SharedCache {
 }
 
 /// Monotonic, process-lifetime counters aggregated across every engine
-/// that carries a handle to them (see [`EvalEngine::with_global_stats`]).
+/// that carries a handle to them (see [`EvalEngineBuilder::global_stats`]).
 ///
 /// Unlike an engine's own counters these are never reset or restored:
 /// `reset_stats` / `restore_logical_counters` rewrite per-run logical
@@ -614,7 +621,7 @@ impl EvalStats {
 /// use spotlight_conv::ConvLayer;
 /// use spotlight_space::dataflows::dataflow_schedule;
 ///
-/// let engine = EvalEngine::maestro();
+/// let engine = EvalEngine::default();
 /// let hw = HardwareConfig::new(256, 16, 2, 128, 256, 128).unwrap();
 /// let layer = ConvLayer::new(1, 64, 32, 3, 3, 28, 28);
 /// let sched = dataflow_schedule(DataflowStyle::WeightStationary, &layer, &hw);
@@ -629,12 +636,12 @@ pub struct EvalEngine {
     backend: Box<dyn CostBackend>,
     cache: Option<Arc<Mutex<MemoCache>>>,
     /// Process-wide counter mirror; every local increment is repeated
-    /// here when attached (see [`EvalEngine::with_global_stats`]).
+    /// here when attached (see [`EvalEngineBuilder::global_stats`]).
     global: Option<Arc<GlobalEvalStats>>,
     retry: RetryPolicy,
     robust: RobustPolicy,
     /// The multi-fidelity ladder, when one is attached; shapes how
-    /// [`EvalEngine::evaluate_at`] measures cheap rungs.
+    /// [`EvalEngine::measure`] measures cheap rungs.
     fidelity: Option<FidelitySpec>,
     /// The coarse backend cheap rungs dispatch to in
     /// [`FidelityMode::Backend`]; `None` in the other modes.
@@ -675,111 +682,20 @@ impl fmt::Debug for EvalEngine {
 }
 
 impl Default for EvalEngine {
+    /// The analytical (maestro) engine with a private unbounded cache.
     fn default() -> Self {
-        EvalEngine::maestro()
+        EvalEngine::builder()
+            .build()
+            .expect("the default maestro engine always builds")
     }
 }
 
 impl EvalEngine {
-    /// Wraps an arbitrary backend with caching enabled.
-    pub fn new(backend: Box<dyn CostBackend>) -> Self {
-        EvalEngine {
-            backend,
-            cache: Some(Arc::new(Mutex::new(MemoCache::new(None)))),
-            global: None,
-            retry: RetryPolicy::default(),
-            robust: RobustPolicy::default(),
-            fidelity: None,
-            cheap_backend: None,
-            deadline: Mutex::new(None),
-            quarantine: Mutex::new(HashSet::new()),
-            quarantine_len: AtomicU64::new(0),
-            evaluations: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            infeasible: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            transient_retries: AtomicU64::new(0),
-            failed_layers: AtomicU64::new(0),
-            sw_searches: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            replicate_measurements: AtomicU64::new(0),
-            outliers_rejected: AtomicU64::new(0),
-            fidelity_cheap_evals: AtomicU64::new(0),
-            fidelity_full_evals: AtomicU64::new(0),
-            phase_wall: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The default analytical engine.
-    pub fn maestro() -> Self {
-        EvalEngine::new(Box::new(MaestroBackend::default()))
-    }
-
-    /// Analytical engine around an explicit cost model.
-    pub fn with_model(model: CostModel) -> Self {
-        EvalEngine::new(Box::new(MaestroBackend::new(model)))
-    }
-
-    /// Cycle-approximate engine (simulator with analytical fallback).
-    pub fn sim() -> Self {
-        EvalEngine::new(Box::new(SimBackend::default()))
-    }
-
-    /// Independent Timeloop-like engine.
-    pub fn timeloop() -> Self {
-        EvalEngine::new(Box::new(TimeloopBackend::default()))
-    }
-
-    /// Builds the engine named by `name` (see [`BACKEND_NAMES`]). The
-    /// error's `Display` lists the valid names:
-    ///
-    /// ```
-    /// use spotlight_eval::EvalEngine;
-    /// let err = EvalEngine::by_name("verilator").unwrap_err();
-    /// assert!(err.to_string().contains("maestro, sim, timeloop"));
-    /// ```
-    pub fn by_name(name: &str) -> Result<Self, UnknownBackend> {
-        Ok(EvalEngine::new(backend_by_name(name)?))
-    }
-
     /// Starts a builder: the one construction path for configured
     /// engines (faults, noise, robust measurement, fidelity, cache).
     /// See [`EvalEngineBuilder`] for the composition order.
     pub fn builder() -> EvalEngineBuilder {
         EvalEngineBuilder::new()
-    }
-
-    /// Disables memoization (every query hits the backend).
-    pub fn without_cache(mut self) -> Self {
-        self.cache = None;
-        self
-    }
-
-    /// Attaches a [`SharedCache`], replacing the engine's private cache.
-    /// The caller is responsible for only sharing between engines with
-    /// identical evaluation semantics (backend, faults, noise, robust
-    /// policy); the per-engine hit/miss/eviction counters keep counting
-    /// this engine's own traffic.
-    pub fn with_shared_cache(mut self, shared: &SharedCache) -> Self {
-        self.cache = Some(shared.inner.clone());
-        self
-    }
-
-    /// Attaches a [`GlobalEvalStats`] mirror: from now on every counter
-    /// increment and phase-wall charge is applied both locally and to
-    /// `global`. Per-run resets and checkpoint restores touch only the
-    /// local counters, so the mirror accumulates operational totals
-    /// across runs, jobs, and engines.
-    pub fn with_global_stats(mut self, global: Arc<GlobalEvalStats>) -> Self {
-        self.global = Some(global);
-        self
-    }
-
-    /// Replaces the transient-retry schedule.
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// The active replicated-measurement policy.
@@ -830,63 +746,99 @@ impl EvalEngine {
         }
     }
 
-    /// Costs one triple, consulting the quarantine list and the memo
-    /// cache before the backend. Transient backend failures are retried
-    /// per [`RetryPolicy`]; a query that exhausts its retries (or comes
-    /// back poisoned) quarantines its key, and later queries for it
-    /// short-circuit to [`EvalError::Quarantined`]. Only deterministic
-    /// outcomes (success / infeasibility) are memoized.
+    /// Costs one triple at full fidelity, unobserved: what
+    /// [`EvalEngine::measure`] returns at [`Fidelity::Full`] with the
+    /// disabled observer, minus the [`ReplicateSummary`].
     pub fn evaluate(
         &self,
         hw: &HardwareConfig,
         sched: &Schedule,
         layer: &ConvLayer,
     ) -> Result<CostReport, EvalError> {
-        self.evaluate_robust(hw, sched, layer).map(|(r, _)| r)
-    }
-
-    /// Like [`EvalEngine::evaluate`], additionally returning the
-    /// [`ReplicateSummary`] of the measurement — how many replicates
-    /// were taken, how many were rejected, and the residual dispersion
-    /// that heteroscedastic surrogates consume as observation noise.
-    /// Under the single-shot default the summary is
-    /// [`ReplicateSummary::single`].
-    pub fn evaluate_robust(
-        &self,
-        hw: &HardwareConfig,
-        sched: &Schedule,
-        layer: &ConvLayer,
-    ) -> Result<(CostReport, ReplicateSummary), EvalError> {
-        self.evaluate_at_robust(hw, sched, layer, Fidelity::Full)
-    }
-
-    /// Costs one triple at an explicit [`Fidelity`].
-    pub fn evaluate_at(
-        &self,
-        hw: &HardwareConfig,
-        sched: &Schedule,
-        layer: &ConvLayer,
-        fidelity: Fidelity,
-    ) -> Result<CostReport, EvalError> {
-        self.evaluate_at_robust(hw, sched, layer, fidelity)
+        self.lookup(hw, sched, layer, Fidelity::Full)
             .map(|(r, _)| r)
     }
 
-    /// Like [`EvalEngine::evaluate_robust`] at an explicit [`Fidelity`].
-    /// The memo cache is keyed by the tag, so a cheap rung's report is
-    /// never served for a full-fidelity request (or vice versa). Cheap
-    /// rungs measure per the attached [`FidelitySpec`] — fewer
-    /// replicates or the coarse backend — and their summary's
-    /// dispersion is inflated by the rung's calibrated variance before
-    /// it reaches the surrogate. Without an attached spec,
-    /// `Fidelity::Full` reproduces the historical path bit-for-bit.
-    pub fn evaluate_at_robust(
+    /// Costs one triple at `fidelity`, consulting the quarantine list and
+    /// the memo cache before the backend, and reports the outcome to
+    /// `obs` tagged with the search `step`.
+    ///
+    /// - **Failures.** Transient backend failures are retried per
+    ///   [`RetryPolicy`]; a query that exhausts its retries (or comes back
+    ///   poisoned) quarantines its key, and later queries for it
+    ///   short-circuit to [`EvalError::Quarantined`]. Only deterministic
+    ///   outcomes (success / infeasibility) are memoized.
+    /// - **Replicates.** The [`ReplicateSummary`] says how many replicates
+    ///   were taken, how many were rejected, and the residual dispersion
+    ///   that heteroscedastic surrogates consume as observation noise.
+    ///   Under the single-shot default it is [`ReplicateSummary::single`].
+    /// - **Fidelity.** The memo cache is keyed by the tag, so a cheap
+    ///   rung's report is never served for a full-fidelity request (or
+    ///   vice versa). Cheap rungs measure per the attached
+    ///   [`FidelitySpec`] — fewer replicates or the coarse backend — and
+    ///   their dispersion is inflated by the rung's calibrated variance.
+    ///   Without an attached spec, `Fidelity::Full` is the plain path.
+    /// - **Events.** One [`Event::ScheduleEvaluated`], [`Event::Infeasible`]
+    ///   or [`Event::Quarantined`] per call, plus `replicate_summary` /
+    ///   `outlier_rejected` when replication actually happened. This is
+    ///   the single point where every observed search driver attributes
+    ///   an evaluation to its enclosing `(hw_sample, layer)` span; with a
+    ///   disabled observer it costs one branch per would-be event and
+    ///   never changes what is measured or counted.
+    pub fn measure(
         &self,
         hw: &HardwareConfig,
         sched: &Schedule,
         layer: &ConvLayer,
         fidelity: Fidelity,
+        obs: &Observer,
+        step: u64,
     ) -> Result<(CostReport, ReplicateSummary), EvalError> {
+        let result = self.lookup(hw, sched, layer, fidelity);
+        match &result {
+            Ok((report, summary)) => {
+                obs.emit_with(|| Event::ScheduleEvaluated {
+                    step,
+                    delay_cycles: report.delay_cycles,
+                    energy_nj: report.energy_nj,
+                });
+                if summary.measurements > 1 {
+                    let s = *summary;
+                    obs.emit_with(|| Event::ReplicateSummary {
+                        step,
+                        measurements: s.measurements,
+                        rejected: s.rejected,
+                        dispersion: s.dispersion,
+                    });
+                    if s.rejected > 0 {
+                        obs.emit_with(|| Event::OutlierRejected {
+                            step,
+                            count: s.rejected,
+                        });
+                    }
+                }
+            }
+            Err(e) if e.is_infeasible() => obs.emit_with(|| Event::Infeasible {
+                step,
+                reason: e.to_string(),
+            }),
+            Err(e) => obs.emit_with(|| Event::Quarantined {
+                step,
+                reason: e.to_string(),
+            }),
+        }
+        result
+    }
+
+    /// The counted, quarantine- and cache-aware query behind
+    /// [`EvalEngine::measure`].
+    fn lookup(
+        &self,
+        hw: &HardwareConfig,
+        sched: &Schedule,
+        layer: &ConvLayer,
+        fidelity: Fidelity,
+    ) -> CacheValue {
         self.count(&self.evaluations, |g| &g.evaluations, 1);
         if self.fidelity.is_some() {
             match fidelity {
@@ -935,7 +887,7 @@ impl EvalEngine {
                         // threads may race on one key; both store the
                         // same pure value, so last-write-wins is safe.
                         self.count(&self.cache_misses, |g| &g.cache_misses, 1);
-                        let r = self.measure_robust(hw, sched, layer, fidelity);
+                        let r = self.replicate_measurement(hw, sched, layer, fidelity);
                         let deterministic = match &r {
                             Ok(_) => true,
                             Err(e) => e.is_infeasible(),
@@ -955,7 +907,7 @@ impl EvalEngine {
             }
             None => {
                 self.count(&self.cache_misses, |g| &g.cache_misses, 1);
-                self.measure_robust(hw, sched, layer, fidelity)
+                self.replicate_measurement(hw, sched, layer, fidelity)
             }
         };
         match result {
@@ -994,7 +946,7 @@ impl EvalEngine {
     /// inflates the summary's dispersion by the rung's calibrated
     /// variance so surrogates trust the cheap number proportionally
     /// less.
-    fn measure_robust(
+    fn replicate_measurement(
         &self,
         hw: &HardwareConfig,
         sched: &Schedule,
@@ -1153,88 +1105,6 @@ impl EvalEngine {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .map(|deadline| deadline.saturating_duration_since(Instant::now()))
-    }
-
-    /// Like [`EvalEngine::evaluate`], additionally reporting the outcome
-    /// to `obs` as a [`Event::ScheduleEvaluated`] or [`Event::Infeasible`]
-    /// trace event tagged with the search step. This is the single point
-    /// where every observed search driver attributes an evaluation to its
-    /// enclosing `(hw_sample, layer)` span; with a disabled observer it
-    /// costs one branch over the plain call.
-    pub fn evaluate_observed(
-        &self,
-        hw: &HardwareConfig,
-        sched: &Schedule,
-        layer: &ConvLayer,
-        obs: &Observer,
-        step: u64,
-    ) -> Result<CostReport, EvalError> {
-        self.evaluate_observed_robust(hw, sched, layer, obs, step)
-            .map(|(r, _)| r)
-    }
-
-    /// Like [`EvalEngine::evaluate_observed`], additionally returning
-    /// the [`ReplicateSummary`] and emitting `replicate_summary` /
-    /// `outlier_rejected` trace events when replication actually
-    /// happened. Single-shot measurement emits exactly the historical
-    /// event stream.
-    pub fn evaluate_observed_robust(
-        &self,
-        hw: &HardwareConfig,
-        sched: &Schedule,
-        layer: &ConvLayer,
-        obs: &Observer,
-        step: u64,
-    ) -> Result<(CostReport, ReplicateSummary), EvalError> {
-        self.evaluate_at_observed_robust(hw, sched, layer, Fidelity::Full, obs, step)
-    }
-
-    /// Like [`EvalEngine::evaluate_observed_robust`] at an explicit
-    /// [`Fidelity`]. The emitted trace events are identical in shape;
-    /// only the measurement (and its cache key) differ by rung.
-    pub fn evaluate_at_observed_robust(
-        &self,
-        hw: &HardwareConfig,
-        sched: &Schedule,
-        layer: &ConvLayer,
-        fidelity: Fidelity,
-        obs: &Observer,
-        step: u64,
-    ) -> Result<(CostReport, ReplicateSummary), EvalError> {
-        let result = self.evaluate_at_robust(hw, sched, layer, fidelity);
-        match &result {
-            Ok((report, summary)) => {
-                obs.emit_with(|| Event::ScheduleEvaluated {
-                    step,
-                    delay_cycles: report.delay_cycles,
-                    energy_nj: report.energy_nj,
-                });
-                if summary.measurements > 1 {
-                    let s = *summary;
-                    obs.emit_with(|| Event::ReplicateSummary {
-                        step,
-                        measurements: s.measurements,
-                        rejected: s.rejected,
-                        dispersion: s.dispersion,
-                    });
-                    if s.rejected > 0 {
-                        obs.emit_with(|| Event::OutlierRejected {
-                            step,
-                            count: s.rejected,
-                        });
-                    }
-                }
-            }
-            Err(e) if e.is_infeasible() => obs.emit_with(|| Event::Infeasible {
-                step,
-                reason: e.to_string(),
-            }),
-            Err(e) => obs.emit_with(|| Event::Quarantined {
-                step,
-                reason: e.to_string(),
-            }),
-        }
-        result
     }
 
     /// Records one software-schedule search driven through this engine.
@@ -1629,27 +1499,38 @@ impl EvalEngineBuilder {
                 ));
             }
         }
-        let mut engine = EvalEngine::new(backend);
-        engine.robust = self.robust;
-        engine.retry = self.retry;
-        engine.fidelity = self.fidelity;
-        engine.cheap_backend = cheap_backend;
-        match self.cache {
-            CacheChoice::Private => {}
-            CacheChoice::Capped(cap) => {
-                engine.cache = Some(Arc::new(Mutex::new(MemoCache::new(Some(cap)))));
-            }
-            CacheChoice::Shared(shared) => {
-                engine.cache = Some(shared.inner.clone());
-            }
-            CacheChoice::Disabled => {
-                engine.cache = None;
-            }
-        }
-        if let Some(global) = self.global {
-            engine.global = Some(global);
-        }
-        Ok(engine)
+        let cache = match self.cache {
+            CacheChoice::Private => Some(Arc::new(Mutex::new(MemoCache::new(None)))),
+            CacheChoice::Capped(cap) => Some(Arc::new(Mutex::new(MemoCache::new(Some(cap))))),
+            CacheChoice::Shared(shared) => Some(shared.inner),
+            CacheChoice::Disabled => None,
+        };
+        Ok(EvalEngine {
+            backend,
+            cache,
+            global: self.global,
+            retry: self.retry,
+            robust: self.robust,
+            fidelity: self.fidelity,
+            cheap_backend,
+            deadline: Mutex::new(None),
+            quarantine: Mutex::new(HashSet::new()),
+            quarantine_len: AtomicU64::new(0),
+            evaluations: AtomicU64::new(0),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
+            infeasible: AtomicU64::new(0),
+            quarantined: AtomicU64::new(0),
+            transient_retries: AtomicU64::new(0),
+            failed_layers: AtomicU64::new(0),
+            sw_searches: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            replicate_measurements: AtomicU64::new(0),
+            outliers_rejected: AtomicU64::new(0),
+            fidelity_cheap_evals: AtomicU64::new(0),
+            fidelity_full_evals: AtomicU64::new(0),
+            phase_wall: Mutex::new(BTreeMap::new()),
+        })
     }
 }
 
@@ -1659,6 +1540,17 @@ mod tests {
     use spotlight_accel::DataflowStyle;
     use spotlight_space::dataflows::dataflow_schedule;
     use spotlight_space::{Schedule as Sched, TileSizes};
+
+    /// [`EvalEngine::measure`] with the disabled observer.
+    fn measured(
+        engine: &EvalEngine,
+        hw: &HardwareConfig,
+        sched: &Schedule,
+        layer: &ConvLayer,
+        fidelity: Fidelity,
+    ) -> CacheValue {
+        engine.measure(hw, sched, layer, fidelity, &Observer::null(), 0)
+    }
 
     fn triple() -> (HardwareConfig, Schedule, ConvLayer) {
         let hw = HardwareConfig::new(256, 16, 2, 128, 256, 128).unwrap();
@@ -1670,7 +1562,7 @@ mod tests {
     #[test]
     fn maestro_backend_matches_direct_model() {
         let (hw, sched, layer) = triple();
-        let engine = EvalEngine::maestro();
+        let engine = EvalEngine::default();
         let via_engine = engine.evaluate(&hw, &sched, &layer).unwrap();
         let direct = CostModel::default().evaluate(&hw, &sched, &layer).unwrap();
         assert_eq!(via_engine, direct);
@@ -1679,7 +1571,7 @@ mod tests {
     #[test]
     fn cache_returns_identical_results_and_counts_hits() {
         let (hw, sched, layer) = triple();
-        let engine = EvalEngine::maestro();
+        let engine = EvalEngine::default();
         let a = engine.evaluate(&hw, &sched, &layer);
         let b = engine.evaluate(&hw, &sched, &layer);
         assert_eq!(a, b);
@@ -1694,7 +1586,7 @@ mod tests {
     #[test]
     fn disabled_cache_still_counts_logical_queries() {
         let (hw, sched, layer) = triple();
-        let engine = EvalEngine::maestro().without_cache();
+        let engine = EvalEngine::builder().no_cache().build().unwrap();
         let a = engine.evaluate(&hw, &sched, &layer);
         let b = engine.evaluate(&hw, &sched, &layer);
         assert_eq!(a, b);
@@ -1710,7 +1602,7 @@ mod tests {
         // The whole layer as one RF tile overflows any edge register file.
         let (hw, _, layer) = triple();
         let sched = Sched::trivial(&layer).with_tiles(TileSizes::whole_layer(&layer));
-        let engine = EvalEngine::maestro();
+        let engine = EvalEngine::default();
         assert!(engine.evaluate(&hw, &sched, &layer).is_err());
         assert!(engine.evaluate(&hw, &sched, &layer).is_err());
         let stats = engine.stats();
@@ -1740,7 +1632,7 @@ mod tests {
         // double-buffered capacity checks.
         let (hw, _, layer) = triple();
         let sched = Sched::trivial(&layer);
-        let engine = EvalEngine::timeloop();
+        let engine = EvalEngine::builder().backend("timeloop").build().unwrap();
         let r = engine.evaluate(&hw, &sched, &layer).unwrap();
         let direct = TimeloopModel::default()
             .evaluate(&hw, &sched, &layer)
@@ -1751,11 +1643,12 @@ mod tests {
     }
 
     #[test]
-    fn by_name_resolves_all_backends() {
+    fn backend_names_resolve_through_the_builder() {
         for name in BACKEND_NAMES {
-            assert_eq!(EvalEngine::by_name(name).unwrap().backend_name(), name);
+            let engine = EvalEngine::builder().backend(name).build().unwrap();
+            assert_eq!(engine.backend_name(), name);
         }
-        let err = EvalEngine::by_name("abacus").unwrap_err();
+        let err = backend_by_name("abacus").err().unwrap();
         assert_eq!(err.requested, "abacus");
         for name in BACKEND_NAMES {
             assert!(err.to_string().contains(name), "{err}");
@@ -1768,14 +1661,14 @@ mod tests {
         use std::sync::Arc;
 
         let (hw, sched, layer) = triple();
-        let engine = EvalEngine::maestro();
+        let engine = EvalEngine::default();
         let sink = Arc::new(MemorySink::new());
         let obs = Observer::new(sink.clone()).with_hw_sample(2).with_layer(1);
-        let ok = engine.evaluate_observed(&hw, &sched, &layer, &obs, 0);
+        let ok = engine.measure(&hw, &sched, &layer, Fidelity::Full, &obs, 0);
         assert!(ok.is_ok());
         let bad = Sched::trivial(&layer).with_tiles(TileSizes::whole_layer(&layer));
         assert!(engine
-            .evaluate_observed(&hw, &bad, &layer, &obs, 1)
+            .measure(&hw, &bad, &layer, Fidelity::Full, &obs, 1)
             .is_err());
         let recs = sink.records();
         assert_eq!(recs.len(), 2);
@@ -1790,11 +1683,38 @@ mod tests {
         }
         // Observed evaluation is counted exactly like the plain one.
         assert_eq!(engine.stats().evaluations, 2);
+
+        // `evaluate` is `measure` minus the summary, bit for bit, and the
+        // observer never changes what is measured, counted or cached:
+        // misses, an infeasible point, then cache hits for both.
+        let plain = EvalEngine::default();
+        let quiet = EvalEngine::default();
+        let observed = EvalEngine::default();
+        let bits = |r: &Result<CostReport, EvalError>| {
+            r.as_ref()
+                .ok()
+                .map(|r| (r.delay_cycles.to_bits(), r.energy_nj.to_bits()))
+        };
+        for (step, s) in [sched, bad, sched, bad].iter().enumerate() {
+            let want = plain.evaluate(&hw, s, &layer);
+            let got = measured(&quiet, &hw, s, &layer, Fidelity::Full);
+            let seen = observed.measure(&hw, s, &layer, Fidelity::Full, &obs, step as u64);
+            assert_eq!(seen, got);
+            let got = got.map(|(r, _)| r);
+            assert_eq!(bits(&got), bits(&want));
+            assert_eq!(got, want);
+        }
+        assert_eq!(observed.stats(), quiet.stats());
+        assert_eq!(quiet.stats(), plain.stats());
+        assert_eq!(plain.stats().cache_hits, 2);
+        assert_eq!(observed.cache_len(), quiet.cache_len());
+        assert_eq!(quiet.cache_len(), plain.cache_len());
+        assert_eq!(sink.records().len(), 2 + 4);
     }
 
     #[test]
     fn phase_timer_accumulates_and_reset_clears() {
-        let engine = EvalEngine::maestro();
+        let engine = EvalEngine::default();
         let v = engine.time_phase("sw_search", || 7);
         assert_eq!(v, 7);
         engine.time_phase("sw_search", || ());
@@ -1810,7 +1730,7 @@ mod tests {
 
     #[test]
     fn add_phase_wall_folds_external_timers_in() {
-        let engine = EvalEngine::maestro();
+        let engine = EvalEngine::default();
         engine.add_phase_wall("surrogate_fit", Duration::from_millis(3));
         engine.add_phase_wall("acquisition", Duration::from_millis(2));
         engine.add_phase_wall("surrogate_fit", Duration::from_millis(1));
@@ -1868,11 +1788,18 @@ mod tests {
         }
     }
 
+    fn engine_over(backend: impl CostBackend + 'static, retry: RetryPolicy) -> EvalEngine {
+        EvalEngine::builder()
+            .custom_backend(Box::new(backend))
+            .retry(retry)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn transient_failures_are_retried_inline() {
         let (hw, sched, layer) = triple();
-        let engine =
-            EvalEngine::new(Box::new(FlakyBackend::new(2))).with_retry_policy(fast_retry());
+        let engine = engine_over(FlakyBackend::new(2), fast_retry());
         // Two transient failures, then success, all within one query.
         assert!(engine.evaluate(&hw, &sched, &layer).is_ok());
         let stats = engine.stats();
@@ -1887,8 +1814,7 @@ mod tests {
     #[test]
     fn exhausted_retries_quarantine_the_key() {
         let (hw, sched, layer) = triple();
-        let engine =
-            EvalEngine::new(Box::new(FlakyBackend::new(u64::MAX))).with_retry_policy(fast_retry());
+        let engine = engine_over(FlakyBackend::new(u64::MAX), fast_retry());
         assert_eq!(
             engine.evaluate(&hw, &sched, &layer),
             Err(EvalError::Transient)
@@ -1926,7 +1852,7 @@ mod tests {
             }
         }
         let (hw, sched, layer) = triple();
-        let engine = EvalEngine::new(Box::new(PoisonBackend)).with_retry_policy(fast_retry());
+        let engine = engine_over(PoisonBackend, fast_retry());
         assert_eq!(
             engine.evaluate(&hw, &sched, &layer),
             Err(EvalError::Poisoned)
@@ -1943,7 +1869,7 @@ mod tests {
 
     #[test]
     fn restored_counters_feed_the_next_snapshot() {
-        let engine = EvalEngine::maestro();
+        let engine = EvalEngine::default();
         engine.restore_logical_counters(10, 2, 3, 1, 1, 4);
         let stats = engine.stats();
         assert_eq!(stats.evaluations, 10);
@@ -1967,7 +1893,7 @@ mod tests {
     #[test]
     fn engine_is_shareable_across_scoped_threads() {
         let (hw, sched, layer) = triple();
-        let engine = EvalEngine::maestro();
+        let engine = EvalEngine::default();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| engine.evaluate(&hw, &sched, &layer).unwrap());
@@ -1990,8 +1916,8 @@ mod tests {
     #[test]
     fn default_policy_measures_once_with_single_summary() {
         let (hw, sched, layer) = triple();
-        let engine = EvalEngine::maestro();
-        let (report, summary) = engine.evaluate_robust(&hw, &sched, &layer).unwrap();
+        let engine = EvalEngine::default();
+        let (report, summary) = measured(&engine, &hw, &sched, &layer, Fidelity::Full).unwrap();
         assert_eq!(summary, ReplicateSummary::single());
         assert_eq!(report, engine.evaluate(&hw, &sched, &layer).unwrap());
         let stats = engine.stats();
@@ -2012,7 +1938,7 @@ mod tests {
                 .unwrap()
         };
         let engine = make();
-        let (report, summary) = engine.evaluate_robust(&hw, &sched, &layer).unwrap();
+        let (report, summary) = measured(&engine, &hw, &sched, &layer, Fidelity::Full).unwrap();
         let clean = CostModel::default().evaluate(&hw, &sched, &layer).unwrap();
         // The median of five replicates lands near the clean value but
         // (with sigma=0.1) not exactly on it.
@@ -2023,11 +1949,11 @@ mod tests {
         assert_eq!(engine.stats().replicate_measurements, summary.measurements);
         // A fresh engine with the same plan reproduces the measurement
         // bit-for-bit: replicate ordinals restart per engine.
-        let again = make().evaluate_robust(&hw, &sched, &layer).unwrap();
+        let again = measured(&make(), &hw, &sched, &layer, Fidelity::Full).unwrap();
         assert_eq!(again, (report, summary));
         // And a cache hit replays the identical summary.
         assert_eq!(
-            engine.evaluate_robust(&hw, &sched, &layer).unwrap(),
+            measured(&engine, &hw, &sched, &layer, Fidelity::Full).unwrap(),
             (report, summary)
         );
         assert_eq!(engine.stats().cache_hits, 1);
@@ -2078,8 +2004,7 @@ mod tests {
     #[test]
     fn expired_deadline_abandons_retry_backoff() {
         let (hw, sched, layer) = triple();
-        let engine =
-            EvalEngine::new(Box::new(FlakyBackend::new(2))).with_retry_policy(fast_retry());
+        let engine = engine_over(FlakyBackend::new(2), fast_retry());
         engine.set_deadline(Some(Instant::now()));
         // The first transient failure would normally retry; with the
         // deadline already passed the engine gives up immediately.
@@ -2102,12 +2027,12 @@ mod tests {
         // the retry sleep must be clamped to the remaining budget
         // instead of sleeping the full backoff past the deadline.
         let (hw, sched, layer) = triple();
-        let engine =
-            EvalEngine::new(Box::new(FlakyBackend::new(1))).with_retry_policy(RetryPolicy {
-                max_attempts: 3,
-                base: Duration::from_secs(60),
-                cap: Duration::from_secs(60),
-            });
+        let slow = RetryPolicy {
+            max_attempts: 3,
+            base: Duration::from_secs(60),
+            cap: Duration::from_secs(60),
+        };
+        let engine = engine_over(FlakyBackend::new(1), slow);
         engine.set_deadline(Some(Instant::now() + Duration::from_millis(30)));
         let start = Instant::now();
         assert!(engine.evaluate(&hw, &sched, &layer).is_ok());
@@ -2176,12 +2101,8 @@ mod tests {
         let sched = Sched::trivial(&layer);
         let spec: FidelitySpec = "fidelity=backend:timeloop".parse().unwrap();
         let engine = EvalEngine::builder().fidelity(Some(spec)).build().unwrap();
-        let cheap = engine
-            .evaluate_at_robust(&hw, &sched, &layer, Fidelity::Rung(0))
-            .unwrap();
-        let full = engine
-            .evaluate_at_robust(&hw, &sched, &layer, Fidelity::Full)
-            .unwrap();
+        let cheap = measured(&engine, &hw, &sched, &layer, Fidelity::Rung(0)).unwrap();
+        let full = measured(&engine, &hw, &sched, &layer, Fidelity::Full).unwrap();
         // The coarse backend reports different numbers with inflated
         // dispersion; both live in the cache under distinct keys.
         assert_ne!(cheap.0.delay_cycles, full.0.delay_cycles);
@@ -2190,15 +2111,11 @@ mod tests {
         assert_eq!(engine.cache_len(), 2);
         // Replays hit their own fidelity's entry bit-for-bit.
         assert_eq!(
-            engine
-                .evaluate_at_robust(&hw, &sched, &layer, Fidelity::Rung(0))
-                .unwrap(),
+            measured(&engine, &hw, &sched, &layer, Fidelity::Rung(0)).unwrap(),
             cheap
         );
         assert_eq!(
-            engine
-                .evaluate_at_robust(&hw, &sched, &layer, Fidelity::Full)
-                .unwrap(),
+            measured(&engine, &hw, &sched, &layer, Fidelity::Full).unwrap(),
             full
         );
         let stats = engine.stats();
@@ -2220,16 +2137,12 @@ mod tests {
             .build()
             .unwrap();
         // Rung 0 of a 0.2-fraction ladder takes a single measurement...
-        let (_, cheap) = engine
-            .evaluate_at_robust(&hw, &sched, &layer, Fidelity::Rung(0))
-            .unwrap();
+        let (_, cheap) = measured(&engine, &hw, &sched, &layer, Fidelity::Rung(0)).unwrap();
         assert_eq!(engine.stats().replicate_measurements, 0);
         // ...and its dispersion still carries the rung's inflation.
         assert!((cheap.dispersion * cheap.dispersion - inflation).abs() < 1e-9);
         // Full fidelity takes all five.
-        let (_, full) = engine
-            .evaluate_at_robust(&hw, &sched, &layer, Fidelity::Full)
-            .unwrap();
+        let (_, full) = measured(&engine, &hw, &sched, &layer, Fidelity::Full).unwrap();
         assert!(engine.stats().replicate_measurements >= 5);
         assert!(full.measurements >= 5);
         assert!(full.dispersion < cheap.dispersion);
@@ -2238,11 +2151,10 @@ mod tests {
     #[test]
     fn full_fidelity_without_a_spec_matches_the_historical_path() {
         let (hw, sched, layer) = triple();
-        let plain = EvalEngine::maestro();
-        let tagged = plain
-            .evaluate_at_robust(&hw, &sched, &layer, Fidelity::Full)
-            .unwrap();
-        assert_eq!(tagged, plain.evaluate_robust(&hw, &sched, &layer).unwrap());
+        let plain = EvalEngine::default();
+        let tagged = measured(&plain, &hw, &sched, &layer, Fidelity::Full).unwrap();
+        let direct = CostModel::default().evaluate(&hw, &sched, &layer).unwrap();
+        assert_eq!(tagged, (direct, ReplicateSummary::single()));
         // Without a spec the fidelity counters stay untouched.
         let stats = plain.stats();
         assert_eq!(stats.fidelity_cheap_evals, 0);

@@ -331,7 +331,8 @@ fn strip_epilogue(fs: &Arc<dyn StoreIo>, path: &Path) -> Result<(), RuntimeError
 /// indistinguishable from a voluntary preemption.
 ///
 /// `shared_cache` / `global` attach the serve-level sharing layer; pass
-/// `None` for the isolated single-job behaviour.
+/// `None` for the isolated single-job behaviour. A shared cache replaces
+/// the spec's `--cache-cap` (the scheduler caps the shared cache itself).
 ///
 /// `io` routes every journal read/write/truncate through a [`StoreIo`]
 /// (the daemon's path: checksummed framing on fresh journals, and
@@ -355,13 +356,7 @@ pub fn advance_job(
 ) -> Result<SliceProgress, RuntimeError> {
     let models = spec.resolve_models()?;
     let cfg = spec.to_codesign_config()?;
-    let mut engine = spec.build_engine()?;
-    if let Some(cache) = shared_cache {
-        engine = engine.with_shared_cache(cache);
-    }
-    if let Some(global) = global {
-        engine = engine.with_global_stats(global);
-    }
+    let engine = spec.build_shared_engine(shared_cache, global)?;
     let real: Arc<dyn StoreIo> = Arc::new(RealFs);
     let fs = io.unwrap_or(&real);
 
@@ -553,6 +548,42 @@ mod tests {
             "second job should hit the shared cache"
         );
         assert_eq!(snap.evaluations, snap.cache_hits + snap.cache_misses);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn capped_spec_on_a_shared_cache_matches_the_one_shot_report() {
+        // The scheduler hands a capped spec a shared cache carrying the
+        // same cap; the engine must take it in place of its own cap (two
+        // cache choices are a build error) and evict exactly as the
+        // one-shot run does.
+        let spec = RunSpec::parse_str("--model mobilenetv2 --hw 4 --sw 6 --seed 3 --cache-cap 64")
+            .unwrap();
+        let dir = tmp("capped-shared");
+        let isolated = run_job(&spec, None, false).unwrap();
+        let evictions = isolated.outcome.stats.evictions;
+        assert!(evictions > 0, "cap 64 should evict");
+        let cache = SharedCache::new(spec.cache_cap);
+        let global = Arc::new(GlobalEvalStats::default());
+        let journal = dir.join("job.jsonl");
+        match advance_job(
+            &spec,
+            &journal,
+            99,
+            Some(&cache),
+            Some(global.clone()),
+            None,
+        )
+        .unwrap()
+        {
+            SliceProgress::Finished(out) => {
+                assert_eq!(isolated.report(), out.report());
+                assert_eq!(out.outcome.stats.evictions, evictions);
+            }
+            other => panic!("expected finish, got {other:?}"),
+        }
+        assert_eq!(cache.len(), 64);
+        assert!(global.snapshot().evictions > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

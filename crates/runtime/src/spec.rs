@@ -12,8 +12,11 @@ use std::time::Duration;
 
 use spotlight::codesign::{CodesignConfig, ConfigError};
 use spotlight::Variant;
+use std::sync::Arc;
+
 use spotlight_eval::{
-    Aggregation, EvalEngine, FaultPlan, FidelitySpec, NoisePlan, RobustPolicy, UnknownBackend,
+    backend_by_name, Aggregation, EvalEngine, FaultPlan, FidelitySpec, GlobalEvalStats, NoisePlan,
+    RobustPolicy, SharedCache, UnknownBackend,
 };
 use spotlight_maestro::Objective;
 use spotlight_models::{all_models, Model};
@@ -63,7 +66,7 @@ pub struct RunSpec {
     /// Worker threads for the per-layer software search.
     pub threads: usize,
     /// Cost backend to evaluate through; validated against
-    /// [`EvalEngine::by_name`] at parse time so the error always lists
+    /// [`backend_by_name`] at parse time so the error always lists
     /// exactly the backends the engine knows.
     pub backend: String,
     /// Fault-injection spec (validated against [`FaultPlan`] at parse
@@ -194,7 +197,7 @@ impl RunSpec {
                     let name = value(i)?;
                     // Validate through the engine itself so the message
                     // always lists exactly the backends it resolves.
-                    EvalEngine::by_name(name)?;
+                    backend_by_name(name)?;
                     spec.backend = name.to_string();
                     i += 2;
                 }
@@ -339,7 +342,7 @@ impl RunSpec {
                     .to_string(),
             ),
         };
-        EvalEngine::by_name(&manifest.backend)?;
+        backend_by_name(&manifest.backend)?;
         Ok(RunSpec {
             models: manifest
                 .models
@@ -444,14 +447,31 @@ impl RunSpec {
     /// combination (e.g. a backend-mode ladder whose cheap backend is
     /// the primary backend).
     pub fn build_engine(&self) -> Result<EvalEngine, SpecError> {
+        self.build_shared_engine(None, None)
+    }
+
+    /// Like [`RunSpec::build_engine`], attaching the serve layer's
+    /// `shared` cache and `global` counter mirror when given. The shared
+    /// cache replaces the spec's own cache cap rather than stacking on
+    /// it: the scheduler creates each shared cache with that cap already.
+    pub(crate) fn build_shared_engine(
+        &self,
+        shared: Option<&SharedCache>,
+        global: Option<Arc<GlobalEvalStats>>,
+    ) -> Result<EvalEngine, SpecError> {
         let mut builder = EvalEngine::builder()
             .backend(&self.backend)
             .faults(self.fault_plan())
             .noise(self.noise_plan())
             .robust(self.robust_policy())
             .fidelity(self.fidelity_spec());
-        if let Some(cap) = self.cache_cap {
-            builder = builder.cache_cap(cap);
+        builder = match (shared, self.cache_cap) {
+            (Some(cache), _) => builder.shared_cache(cache),
+            (None, Some(cap)) => builder.cache_cap(cap),
+            (None, None) => builder,
+        };
+        if let Some(global) = global {
+            builder = builder.global_stats(global);
         }
         builder.build().map_err(|e| SpecError(e.to_string()))
     }

@@ -13,7 +13,7 @@ use spotlight_accel::{Budget, HardwareConfig};
 use spotlight_conv::ConvLayer;
 use spotlight_dabo::Trace;
 use spotlight_eval::{EvalEngine, EvalStats, Fidelity, FidelityMode, FidelitySpec, RobustPolicy};
-use spotlight_maestro::{CostModel, CostReport, Objective};
+use spotlight_maestro::{CostReport, Objective};
 use spotlight_models::{Model, ModelId};
 use spotlight_obs::{Event, Observer, RunManifest};
 use spotlight_space::{ParamRanges, Schedule};
@@ -692,20 +692,7 @@ pub struct Spotlight {
 impl Spotlight {
     /// Creates the tool with the default analytical evaluation engine.
     pub fn new(config: CodesignConfig) -> Self {
-        Spotlight {
-            config,
-            engine: EvalEngine::maestro(),
-            observer: Observer::null(),
-        }
-    }
-
-    /// Creates the tool with an explicit analytical cost model.
-    pub fn with_cost_model(config: CodesignConfig, cost_model: CostModel) -> Self {
-        Spotlight {
-            config,
-            engine: EvalEngine::with_model(cost_model),
-            observer: Observer::null(),
-        }
+        Spotlight::with_engine(config, EvalEngine::default())
     }
 
     /// Creates the tool around an arbitrary evaluation engine (any

@@ -267,7 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn utilization_correlates_with_cost_model() {
+    fn utilization_agrees_in_direction_with_the_cost_model() {
         // The feature must agree in *direction* with the cost model:
         // schedules with higher feature-utilization should tend to lower
         // delay. Checked in rank correlation over random samples.

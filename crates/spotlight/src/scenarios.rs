@@ -13,7 +13,7 @@ use rand_chacha::ChaCha8Rng;
 
 use spotlight_accel::{Baseline, DataflowStyle, HardwareConfig};
 use spotlight_dabo::{Search, Trace};
-use spotlight_eval::EvalEngine;
+use spotlight_eval::{EvalEngine, Fidelity};
 use spotlight_models::Model;
 use spotlight_obs::{Event, Observer};
 use spotlight_searchers::{ConfuciuXSearch, HascoSearch};
@@ -70,19 +70,7 @@ pub fn evaluate_fixed_hw(
     style: DataflowStyle,
     model: &Model,
 ) -> (ModelPlan, u64) {
-    evaluate_fixed_hw_with(&EvalEngine::maestro(), config, hw, style, model)
-}
-
-/// Like [`evaluate_fixed_hw`] but through a caller-owned engine, so
-/// repeated baselines share one memo cache and one set of counters.
-pub fn evaluate_fixed_hw_with(
-    engine: &EvalEngine,
-    config: &CodesignConfig,
-    hw: &HardwareConfig,
-    style: DataflowStyle,
-    model: &Model,
-) -> (ModelPlan, u64) {
-    let start_evals = engine.evaluations();
+    let engine = EvalEngine::default();
     let sw_cfg = SwSearchConfig {
         samples: config.sw_samples,
         objective: config.objective,
@@ -93,7 +81,7 @@ pub fn evaluate_fixed_hw_with(
     let mut total_delay = 0.0;
     let mut total_energy = 0.0;
     for entry in model.layers() {
-        let r = optimize_schedule_for_style(engine, hw, &entry.layer, style, &sw_cfg, &mut rng);
+        let r = optimize_schedule_for_style(&engine, hw, &entry.layer, style, &sw_cfg, &mut rng);
         match r.best {
             Some((schedule, report)) => {
                 total_delay += report.delay_cycles * entry.count as f64;
@@ -118,7 +106,7 @@ pub fn evaluate_fixed_hw_with(
             total_delay,
             total_energy,
         },
-        engine.evaluations() - start_evals,
+        engine.evaluations(),
     )
 }
 
@@ -150,8 +138,8 @@ fn model_cost_under_style(
     for (ordinal, entry) in model.layers().iter().enumerate() {
         let sched = template_schedule(style, &entry.layer);
         let lobs = obs.with_layer(ordinal as u64);
-        match engine.evaluate_observed(hw, &sched, &entry.layer, &lobs, 0) {
-            Ok(r) => {
+        match engine.measure(hw, &sched, &entry.layer, Fidelity::Full, &lobs, 0) {
+            Ok((r, _)) => {
                 total_delay += r.delay_cycles * entry.count as f64;
                 total_energy += r.energy_nj * entry.count as f64;
             }
@@ -167,19 +155,10 @@ fn model_cost_under_style(
 /// Runs the ConfuciuX-like tool: RL + GA over hardware and a three-way
 /// dataflow choice; each candidate is costed with its style's fixed
 /// schedule (no tile-size search — the restriction the paper blames for
-/// ConfuciuX's gap).
-pub fn run_confuciux(config: &CodesignConfig, model: &Model) -> ToolOutcome {
-    run_confuciux_observed(config, model, &Observer::null())
-}
-
-/// Like [`run_confuciux`] but reporting hardware proposals, per-layer
-/// evaluations, and best-so-far improvements to `obs`.
-pub fn run_confuciux_observed(
-    config: &CodesignConfig,
-    model: &Model,
-    obs: &Observer,
-) -> ToolOutcome {
-    let engine = EvalEngine::maestro();
+/// ConfuciuX's gap). Hardware proposals, per-layer evaluations, and
+/// best-so-far improvements are reported to `obs`.
+pub fn run_confuciux(config: &CodesignConfig, model: &Model, obs: &Observer) -> ToolOutcome {
+    let engine = EvalEngine::default();
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0xc0f0_c10a);
     let rl_budget = (config.hw_samples * 2) / 3;
     let mut search = ConfuciuXSearch::new(config.ranges, rl_budget);
@@ -215,15 +194,10 @@ pub fn run_confuciux_observed(
 }
 
 /// Runs the HASCO-like tool: off-the-shelf BO over hardware with one
-/// fixed software schedule per layer.
-pub fn run_hasco(config: &CodesignConfig, model: &Model) -> ToolOutcome {
-    run_hasco_observed(config, model, &Observer::null())
-}
-
-/// Like [`run_hasco`] but reporting hardware proposals, per-layer
-/// evaluations, and best-so-far improvements to `obs`.
-pub fn run_hasco_observed(config: &CodesignConfig, model: &Model, obs: &Observer) -> ToolOutcome {
-    let engine = EvalEngine::maestro();
+/// fixed software schedule per layer. Hardware proposals, per-layer
+/// evaluations, and best-so-far improvements are reported to `obs`.
+pub fn run_hasco(config: &CodesignConfig, model: &Model, obs: &Observer) -> ToolOutcome {
+    let engine = EvalEngine::default();
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x4a5c_0000);
     let mut search = HascoSearch::new(config.ranges);
     let style = search.style();
@@ -339,7 +313,7 @@ mod tests {
 
     #[test]
     fn confuciux_produces_a_design() {
-        let out = run_confuciux(&cfg(), &tiny_model());
+        let out = run_confuciux(&cfg(), &tiny_model(), &Observer::null());
         assert!(out.best_hw.is_some());
         assert!(out.best_cost.is_finite());
         assert_eq!(out.eval_trace.len(), cfg().hw_samples);
@@ -347,7 +321,7 @@ mod tests {
 
     #[test]
     fn hasco_produces_a_design() {
-        let out = run_hasco(&cfg(), &tiny_model());
+        let out = run_hasco(&cfg(), &tiny_model(), &Observer::null());
         assert!(out.best_hw.is_some());
         assert!(out.best_cost.is_finite());
     }
@@ -356,7 +330,7 @@ mod tests {
     fn confuciux_spends_fewer_evals_than_spotlight() {
         // No software search: evaluations = hw_samples x layers, far less
         // than Spotlight's hw x layers x sw budget.
-        let out = run_confuciux(&cfg(), &tiny_model());
+        let out = run_confuciux(&cfg(), &tiny_model(), &Observer::null());
         let spot = Spotlight::new(
             cfg()
                 .to_builder()
@@ -395,7 +369,7 @@ mod tests {
             .build()
             .expect("test config is valid");
         let spot = Spotlight::new(c).codesign(std::slice::from_ref(&model));
-        let confx = run_confuciux(&c, &model);
+        let confx = run_confuciux(&c, &model, &Observer::null());
         assert!(
             spot.best_cost <= confx.best_cost,
             "spotlight {} !<= confuciux {}",

@@ -213,7 +213,7 @@ pub fn style_constrained_sample(
 ///
 /// let cfg = SwSearchConfig { samples: 20, objective: Objective::Edp, variant: Variant::Spotlight };
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-/// let engine = EvalEngine::maestro();
+/// let engine = EvalEngine::default();
 /// let r = optimize_schedule(
 ///     &engine,
 ///     &Baseline::NvdlaLike.edge_config(),
@@ -232,29 +232,19 @@ pub fn optimize_schedule(
     cfg: &SwSearchConfig,
     rng: &mut dyn RngCore,
 ) -> SwResult {
-    optimize_schedule_observed(engine, hw, layer, cfg, rng, &Observer::null())
+    let obs = Observer::null();
+    optimize_schedule_observed_at(engine, hw, layer, cfg, Fidelity::Full, rng, &obs)
 }
 
-/// Like [`optimize_schedule`] but reporting every cost-model evaluation
-/// to `obs` as a `schedule_evaluated` / `infeasible` event, tagged with
-/// the step index within the sample budget. The observer never touches
-/// the RNG, so observed and unobserved runs stay bit-identical.
-pub fn optimize_schedule_observed(
-    engine: &EvalEngine,
-    hw: &HardwareConfig,
-    layer: &ConvLayer,
-    cfg: &SwSearchConfig,
-    rng: &mut dyn RngCore,
-    obs: &Observer,
-) -> SwResult {
-    optimize_schedule_observed_at(engine, hw, layer, cfg, Fidelity::Full, rng, obs)
-}
-
-/// Like [`optimize_schedule_observed`] but evaluating every schedule at
-/// an explicit [`Fidelity`] — the entry point the successive-halving
-/// codesign driver uses for cheap rungs. Cheap-rung dispersion already
-/// carries the rung's calibrated variance inflation (the engine inflates
-/// it), so `observe_noisy` automatically trusts cheap points less.
+/// Like [`optimize_schedule`] but evaluating every schedule at an
+/// explicit [`Fidelity`] and reporting every cost-model evaluation to
+/// `obs` as a `schedule_evaluated` / `infeasible` event, tagged with the
+/// step index within the sample budget — the entry point the codesign
+/// driver uses, cheap rungs included. The observer never touches the
+/// RNG, so observed and unobserved runs stay bit-identical. Cheap-rung
+/// dispersion already carries the rung's calibrated variance inflation
+/// (the engine inflates it), so `observe_noisy` automatically trusts
+/// cheap points less.
 pub fn optimize_schedule_observed_at(
     engine: &EvalEngine,
     hw: &HardwareConfig,
@@ -265,7 +255,7 @@ pub fn optimize_schedule_observed_at(
     obs: &Observer,
 ) -> SwResult {
     let mut search = build_search(cfg.variant, *hw, *layer);
-    run_sw_observed(engine, hw, layer, cfg, fidelity, rng, search.as_mut(), obs)
+    run_sw(engine, hw, layer, cfg, fidelity, rng, search.as_mut(), obs)
 }
 
 /// Like [`optimize_schedule`] but constrained to one rigid dataflow —
@@ -291,7 +281,16 @@ pub fn optimize_schedule_for_style(
             move |rng: &mut dyn RngCore| style_constrained_sample(rng, &layer_c, &hw_c, style);
         Box::new(Dabo::new(DaboConfig::default(), fm, sampler))
     };
-    run_sw(engine, hw, layer, cfg, rng, search.as_mut())
+    run_sw(
+        engine,
+        hw,
+        layer,
+        cfg,
+        Fidelity::Full,
+        rng,
+        search.as_mut(),
+        &Observer::null(),
+    )
 }
 
 /// Like [`optimize_schedule`] with the Spotlight feature space but
@@ -318,7 +317,16 @@ pub fn optimize_schedule_uniform(
     let mut search = Dabo::new(dcfg, fm, move |rng: &mut dyn RngCore| {
         sample::sample_schedule(rng, &layer_c)
     });
-    run_sw(engine, hw, layer, cfg, rng, &mut search)
+    run_sw(
+        engine,
+        hw,
+        layer,
+        cfg,
+        Fidelity::Full,
+        rng,
+        &mut search,
+        &Observer::null(),
+    )
 }
 
 /// Like [`optimize_schedule`] for the Spotlight variant but with an
@@ -343,31 +351,20 @@ pub fn optimize_schedule_with_acquisition(
     let mut search = Dabo::new(dcfg, fm, move |rng: &mut dyn RngCore| {
         sample_schedule_guided(rng, &layer_c, &hw_c)
     });
-    run_sw(engine, hw, layer, cfg, rng, &mut search)
-}
-
-fn run_sw(
-    engine: &EvalEngine,
-    hw: &HardwareConfig,
-    layer: &ConvLayer,
-    cfg: &SwSearchConfig,
-    rng: &mut dyn RngCore,
-    search: &mut dyn Search<Schedule>,
-) -> SwResult {
-    run_sw_observed(
+    run_sw(
         engine,
         hw,
         layer,
         cfg,
         Fidelity::Full,
         rng,
-        search,
+        &mut search,
         &Observer::null(),
     )
 }
 
 #[allow(clippy::too_many_arguments)]
-fn run_sw_observed(
+fn run_sw(
     engine: &EvalEngine,
     hw: &HardwareConfig,
     layer: &ConvLayer,
@@ -381,21 +378,20 @@ fn run_sw_observed(
     let mut best: Option<(Schedule, CostReport)> = None;
     for step in 0..cfg.samples {
         let sched = search.suggest(rng);
-        let (cost, dispersion) =
-            match engine.evaluate_at_observed_robust(hw, &sched, layer, fidelity, obs, step as u64)
-            {
-                Ok((report, summary)) => {
-                    let value = report.objective(cfg.objective);
-                    if best
-                        .as_ref()
-                        .is_none_or(|(_, b)| value < b.objective(cfg.objective))
-                    {
-                        best = Some((sched, report));
-                    }
-                    (value, summary.dispersion)
+        let (cost, dispersion) = match engine.measure(hw, &sched, layer, fidelity, obs, step as u64)
+        {
+            Ok((report, summary)) => {
+                let value = report.objective(cfg.objective);
+                if best
+                    .as_ref()
+                    .is_none_or(|(_, b)| value < b.objective(cfg.objective))
+                {
+                    best = Some((sched, report));
                 }
-                Err(_) => (f64::INFINITY, 0.0),
-            };
+                (value, summary.dispersion)
+            }
+            Err(_) => (f64::INFINITY, 0.0),
+        };
         // Replicate dispersion is the relative (scaled-MAD / median)
         // spread, which approximates the standard deviation of ln(cost)
         // under multiplicative noise — exactly the target space the
@@ -440,7 +436,7 @@ mod tests {
 
     #[test]
     fn every_variant_finds_a_feasible_schedule() {
-        let model = EvalEngine::maestro();
+        let model = EvalEngine::default();
         let hw = Baseline::NvdlaLike.edge_config();
         for v in Variant::ALL {
             let mut rng = ChaCha8Rng::seed_from_u64(7);
@@ -452,7 +448,7 @@ mod tests {
 
     #[test]
     fn spotlight_beats_random_on_median_seed() {
-        let model = EvalEngine::maestro();
+        let model = EvalEngine::default();
         let hw = Baseline::NvdlaLike.edge_config();
         let mut wins = 0;
         let trials = 7;
@@ -507,7 +503,7 @@ mod tests {
     fn infeasible_layers_return_infinite_objective() {
         // A 2-byte-RF-per-PE accelerator cannot hold even a unit tile
         // (one weight + one input + one output element = 3 bytes).
-        let model = EvalEngine::maestro();
+        let model = EvalEngine::default();
         let hw = HardwareConfig::new(512, 16, 16, 1, 64, 64).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let r = optimize_schedule(&model, &hw, &layer(), &cfg(Variant::SpotlightR), &mut rng);
@@ -517,7 +513,7 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let model = EvalEngine::maestro();
+        let model = EvalEngine::default();
         let hw = Baseline::NvdlaLike.edge_config();
         let run = || {
             let mut rng = ChaCha8Rng::seed_from_u64(11);
@@ -529,7 +525,7 @@ mod tests {
 
     #[test]
     fn delay_objective_optimizes_delay() {
-        let model = EvalEngine::maestro();
+        let model = EvalEngine::default();
         let hw = Baseline::NvdlaLike.edge_config();
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let c = SwSearchConfig {

@@ -21,7 +21,7 @@ use spotlight_repro::spotlight::Variant;
 fn main() {
     let hw = Baseline::EyerissLike.edge_config();
     let layer = ConvLayer::new(1, 128, 64, 3, 3, 28, 28).with_name("res3a_branch2b");
-    let model = EvalEngine::maestro();
+    let model = EvalEngine::default();
 
     println!("accelerator: {hw}");
     println!("layer      : {layer}\n");

@@ -80,8 +80,14 @@ fn memoized_cache_preserves_outcomes_and_hits() {
     ];
     let cfg = config(1);
     let cached = Spotlight::new(cfg).codesign(&models);
-    let uncached =
-        Spotlight::with_engine(cfg, EvalEngine::maestro().without_cache()).codesign(&models);
+    let uncached = Spotlight::with_engine(
+        cfg,
+        EvalEngine::builder()
+            .no_cache()
+            .build()
+            .expect("plain engine builds"),
+    )
+    .codesign(&models);
 
     assert_eq!(cached.best_hw, uncached.best_hw);
     assert_eq!(cached.best_cost.to_bits(), uncached.best_cost.to_bits());

@@ -128,12 +128,9 @@ fn scarred_journals_report_a_truncated_tail() {
     let path = std::env::temp_dir().join(format!("spotlight-scar-{}.jsonl", std::process::id()));
     let path = path.to_str().expect("temp path is utf-8").to_string();
     let writer = JournalWriter::create(&path).expect("journal file creates");
-    Spotlight::with_engine(
-        config(1, 3),
-        EvalEngine::by_name("maestro").expect("backend"),
-    )
-    .with_observer(Observer::new(Arc::new(writer)))
-    .codesign(&[tiny_model()]);
+    Spotlight::with_engine(config(1, 3), EvalEngine::default())
+        .with_observer(Observer::new(Arc::new(writer)))
+        .codesign(&[tiny_model()]);
     let clean = read_journal_tolerant(&path)
         .expect("reads")
         .expect("parses");

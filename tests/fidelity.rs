@@ -24,6 +24,16 @@ fn triple() -> (HardwareConfig, Schedule, ConvLayer) {
     (hw, sched, layer)
 }
 
+/// The delay `EvalEngine::measure` reports for [`triple`] at `fidelity`,
+/// unobserved.
+fn delay_at(engine: &EvalEngine, fidelity: Fidelity) -> f64 {
+    let (hw, sched, layer) = triple();
+    let (report, _) = engine
+        .measure(&hw, &sched, &layer, fidelity, &Observer::null(), 0)
+        .expect("feasible");
+    report.delay_cycles
+}
+
 /// The proxy ladder the acceptance study pins: 3 rungs, the cheapest
 /// costing a quarter of the layer set, halving the field per rung.
 const LADDER: &str = "fidelity=proxy:0.25,rungs=3,eta=2";
@@ -111,11 +121,8 @@ fn ladder_runs_emit_promotion_events() {
     // demoted samples never pay for the layers a cheap rung skipped.
     assert!(out.stats.fidelity_full_evals > 0);
     assert_eq!(out.stats.fidelity_cheap_evals, 0);
-    let baseline = Spotlight::with_engine(
-        config(1, 3),
-        EvalEngine::by_name("maestro").expect("backend"),
-    )
-    .codesign(&[tiny_model()]);
+    let baseline =
+        Spotlight::with_engine(config(1, 3), EvalEngine::default()).codesign(&[tiny_model()]);
     assert!(
         out.evaluations < baseline.evaluations,
         "ladder ({}) must evaluate less than the no-ladder run ({})",
@@ -132,8 +139,11 @@ fn ladder_runs_emit_promotion_events() {
 fn cache_never_aliases_cheap_and_full_reports() {
     let (hw, sched, layer) = triple();
 
-    let plain = EvalEngine::by_name("maestro").expect("backend");
-    let reference = plain.evaluate(&hw, &sched, &layer).expect("feasible");
+    let plain = EvalEngine::default();
+    let reference = plain
+        .evaluate(&hw, &sched, &layer)
+        .expect("feasible")
+        .delay_cycles;
 
     // Replicate-mode ladder: cheap rungs take fewer replicates, so a
     // cheap report is genuinely different from a full one.
@@ -146,39 +156,31 @@ fn cache_never_aliases_cheap_and_full_reports() {
         ))
         .build()
         .expect("valid combination");
-    let cheap = engine
-        .evaluate_at(&hw, &sched, &layer, Fidelity::Rung(0))
-        .expect("feasible");
-    let full = engine
-        .evaluate_at(&hw, &sched, &layer, Fidelity::Full)
-        .expect("feasible");
+    let cheap = delay_at(&engine, Fidelity::Rung(0));
+    let full = delay_at(&engine, Fidelity::Full);
     assert_eq!(
         engine.stats().cache_misses,
         2,
         "full must not hit cheap's entry"
     );
     assert_ne!(
-        cheap.delay_cycles.to_bits(),
-        full.delay_cycles.to_bits(),
+        cheap.to_bits(),
+        full.to_bits(),
         "1-replicate noisy rung should differ from the 5-replicate median"
     );
 
     // Re-asking at each fidelity hits its own entry and returns the
     // same bits.
-    let cheap2 = engine
-        .evaluate_at(&hw, &sched, &layer, Fidelity::Rung(0))
-        .expect("feasible");
-    let full2 = engine
-        .evaluate_at(&hw, &sched, &layer, Fidelity::Full)
-        .expect("feasible");
+    let cheap2 = delay_at(&engine, Fidelity::Rung(0));
+    let full2 = delay_at(&engine, Fidelity::Full);
     assert_eq!(engine.stats().cache_hits, 2);
-    assert_eq!(cheap.delay_cycles.to_bits(), cheap2.delay_cycles.to_bits());
-    assert_eq!(full.delay_cycles.to_bits(), full2.delay_cycles.to_bits());
+    assert_eq!(cheap.to_bits(), cheap2.to_bits());
+    assert_eq!(full.to_bits(), full2.to_bits());
 
     // The full-fidelity report under a 5-replicate median of seeded
     // gaussian noise is close to — but keyed apart from — the
     // noiseless reference; sanity-check the magnitude.
-    assert!((full.delay_cycles / reference.delay_cycles - 1.0).abs() < 0.5);
+    assert!((full / reference - 1.0).abs() < 0.5);
 }
 
 /// A ladder run killed between checkpoints resumes to the identical
@@ -251,7 +253,6 @@ proptest! {
     #[test]
     fn distinct_rungs_never_share_cache_entries(rung_a in 0u8..3, rung_b in 0u8..3) {
         prop_assume!(rung_a != rung_b);
-        let (hw, sched, layer) = triple();
         let engine = EvalEngine::builder()
             .backend("maestro")
             .noise(Some("seed=11,model=gauss,sigma=0.2".parse().expect("spec")))
@@ -259,8 +260,8 @@ proptest! {
             .fidelity(Some("fidelity=replicate:0.2,rungs=4".parse().expect("spec")))
             .build()
             .expect("valid combination");
-        engine.evaluate_at(&hw, &sched, &layer, Fidelity::Rung(rung_a)).expect("feasible");
-        engine.evaluate_at(&hw, &sched, &layer, Fidelity::Rung(rung_b)).expect("feasible");
+        delay_at(&engine, Fidelity::Rung(rung_a));
+        delay_at(&engine, Fidelity::Rung(rung_b));
         prop_assert_eq!(engine.stats().cache_misses, 2);
         prop_assert_eq!(engine.stats().cache_hits, 0);
     }

@@ -89,11 +89,8 @@ fn noisy_robust_run_is_thread_invariant() {
 /// inert: the outcome is bit-identical to a plain engine's.
 #[test]
 fn single_replicate_noiseless_run_matches_the_plain_engine() {
-    let plain = Spotlight::with_engine(
-        config(1, 5),
-        EvalEngine::by_name("maestro").expect("backend"),
-    )
-    .codesign(&[tiny_model()]);
+    let plain =
+        Spotlight::with_engine(config(1, 5), EvalEngine::default()).codesign(&[tiny_model()]);
     let configured = run(None, 1, 1, 5);
     assert_eq!(configured.best_cost.to_bits(), plain.best_cost.to_bits());
     assert_eq!(configured.best_hw, plain.best_hw);

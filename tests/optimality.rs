@@ -64,7 +64,7 @@ fn dabo_approaches_the_exhaustive_optimum() {
     // daBO searches the *full* space (all 5040^2 orders), the brute force
     // a representative subset, so daBO may even do better; it must land
     // within 2x of the restricted optimum using ~100 of the ~400k points.
-    let model = EvalEngine::maestro();
+    let model = EvalEngine::default();
     let hw = small_hw();
     let layer = tiny_layer();
     let best = ground_truth();
@@ -87,7 +87,7 @@ fn random_search_needs_more_samples_than_dabo_for_same_quality() {
     // Sample-efficiency, quantified against ground truth: count the
     // samples each algorithm needs to get within 3x of the optimum
     // (median over seeds).
-    let model = EvalEngine::maestro();
+    let model = EvalEngine::default();
     let hw = small_hw();
     let layer = tiny_layer();
     let target = ground_truth() * 3.0;

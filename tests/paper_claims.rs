@@ -28,7 +28,7 @@ fn bench_layer() -> ConvLayer {
 /// majority of seeds.
 #[test]
 fn claim_dabo_is_sample_efficient() {
-    let model = EvalEngine::maestro();
+    let model = EvalEngine::default();
     let hw = Baseline::EyerissLike.edge_config();
     let layer = bench_layer();
     let mut wins = 0;
