@@ -89,6 +89,45 @@ fn refactored_cli_reproduces_the_pre_refactor_golden_run() {
 }
 
 #[test]
+fn sim_backend_reproduces_its_golden_report() {
+    // Every other golden run uses the analytical backend; this one pins
+    // the tile simulator's output end to end.
+    let dir = std::env::temp_dir().join(format!("spotlight-golden-sim-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp workdir creates");
+    let report = dir.join("sim_report.txt");
+
+    let status = Command::new(BIN)
+        .args([
+            "codesign",
+            "--model",
+            "transformer",
+            "--backend",
+            "sim",
+            "--hw",
+            "4",
+            "--sw",
+            "8",
+            "--seed",
+            "3",
+            "--out",
+            report.to_str().unwrap(),
+        ])
+        .status()
+        .expect("binary runs");
+    assert!(status.success());
+
+    let golden = std::fs::read_to_string(golden_dir().join("sim_report.txt"))
+        .expect("golden sim report exists");
+    let got = std::fs::read_to_string(&report).expect("report written");
+    assert_eq!(
+        got, golden,
+        "sim-backend report must be byte-identical to its golden"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn golden_report_still_contains_the_pinned_result() {
     // Belt and braces: the golden file itself must carry the expected
     // search result, so a regeneration that changed the outcome (rather
