@@ -154,7 +154,7 @@ impl Observer {
     /// (returned alongside), or `(null, None)` when disabled. Parents
     /// pass the buffered observer into a worker thread, then call
     /// [`Observer::forward`] on the buffers in deterministic order once
-    /// the wave joins.
+    /// the workers join.
     pub fn buffered(&self) -> (Observer, Option<Arc<MemorySink>>) {
         match &self.sink {
             None => (Observer::null(), None),

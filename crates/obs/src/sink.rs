@@ -34,8 +34,8 @@ impl EventSink for NullSink {
 
 /// Buffers records in memory. Doubles as the per-worker staging buffer
 /// for the deterministic merge (workers record here; the parent drains
-/// buffers in `(hw_sample, layer)` ordinal order after each wave) and as
-/// the oracle in tests.
+/// buffers in `(hw_sample, layer)` ordinal order once the worker pool
+/// joins) and as the oracle in tests.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     records: Mutex<Vec<Record>>,

@@ -9,7 +9,9 @@ use proptest::prelude::*;
 use spotlight_repro::conv::ConvLayer;
 use spotlight_repro::eval::{EvalEngine, RetryPolicy};
 use spotlight_repro::models::Model;
-use spotlight_repro::obs::{read_journal_tolerant, Event, JournalWriter, MemorySink, Observer};
+use spotlight_repro::obs::{
+    read_journal_tolerant, Event, JournalWriter, MemorySink, Observer, Record,
+};
 use spotlight_repro::spotlight::codesign::{
     CodesignConfig, CodesignOutcome, RunStatus, SampleCheckpoint, Spotlight,
 };
@@ -49,6 +51,10 @@ fn faulty_engine(spec: &str) -> EvalEngine {
         .expect("maestro backend exists")
 }
 
+/// A partial panic rate: some layers panic once and recover on the
+/// retry, others panic twice and fail.
+const PANIC_SPEC: &str = "seed=5,panic=0.05";
+
 fn faulty_run(spec: &str, threads: usize, seed: u64) -> CodesignOutcome {
     Spotlight::with_engine(config(threads, seed), faulty_engine(spec)).codesign(&[tiny_model()])
 }
@@ -66,6 +72,78 @@ fn fault_schedule_is_thread_invariant() {
         assert_eq!(out.stats.quarantined, base.stats.quarantined);
         assert_eq!(out.stats.infeasible, base.stats.infeasible);
         assert_eq!(out.status, base.status);
+    }
+}
+
+/// Panicked layers are retried inline after the worker pool joins, in
+/// ordinal order. With more layers than threads, the report, the
+/// counters, and the ordered event stream must not depend on which
+/// worker claimed which layer.
+#[test]
+fn panic_retries_are_thread_invariant() {
+    let model = Model::from_layers(
+        "panics",
+        vec![
+            ConvLayer::new(1, 16, 8, 3, 3, 14, 14),
+            ConvLayer::new(1, 32, 16, 1, 1, 14, 14),
+            ConvLayer::new(1, 24, 24, 3, 3, 7, 7),
+            ConvLayer::new(1, 8, 32, 1, 1, 28, 28),
+            ConvLayer::new(1, 48, 16, 3, 3, 14, 14),
+        ],
+    );
+    assert_eq!(model.layers().len(), 5);
+    let run = |threads: usize| {
+        let sink = Arc::new(MemorySink::new());
+        let out = Spotlight::with_engine(config(threads, 4), faulty_engine(PANIC_SPEC))
+            .with_observer(Observer::new(sink.clone()))
+            .codesign(std::slice::from_ref(&model));
+        // The manifest records the thread count and phase timings are
+        // wall time; every other event must match in order.
+        let events: Vec<Record> = sink
+            .records()
+            .into_iter()
+            .filter(|r| {
+                !matches!(
+                    r.event,
+                    Event::RunStarted { .. } | Event::PhaseTiming { .. }
+                )
+            })
+            .map(|mut r| {
+                if let Event::RunFinished { wall_ms, .. } = &mut r.event {
+                    *wall_ms = 0;
+                }
+                r
+            })
+            .collect();
+        (out, events)
+    };
+    let (base, base_events) = run(1);
+
+    // Vacuity guard: some layer panicked, and at least one of those
+    // recovered on its retry.
+    let span = |r: &Record| (r.hw_sample, r.layer);
+    let retried: Vec<_> = base_events
+        .iter()
+        .filter(|r| matches!(r.event, Event::WorkerPanic { retrying: true }))
+        .map(span)
+        .collect();
+    assert!(!retried.is_empty(), "no layer panicked");
+    let recovered = retried.iter().any(|s| {
+        !base_events
+            .iter()
+            .any(|r| span(r) == *s && matches!(r.event, Event::WorkerPanic { retrying: false }))
+    });
+    assert!(recovered, "no panicked layer recovered on retry");
+
+    for threads in [2usize, 4] {
+        let (out, events) = run(threads);
+        assert_eq!(out.best_cost.to_bits(), base.best_cost.to_bits());
+        let bits = |h: &[f64]| h.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out.hw_history), bits(&base.hw_history));
+        assert_eq!(out.evaluations, base.evaluations);
+        assert_eq!(out.stats.failed_layers, base.stats.failed_layers);
+        assert_eq!(out.status, base.status);
+        assert_eq!(events, base_events, "{threads} threads: event stream");
     }
 }
 
