@@ -128,6 +128,55 @@ fn sim_backend_reproduces_its_golden_report() {
 }
 
 #[test]
+fn robust_sim_run_reproduces_its_golden_report() {
+    // A noisy 3-replicate median on the tile simulator: every replicate
+    // re-costs the same (hw, schedule, layer) triple, so this pins what
+    // the engine's replication sees from a deterministic backend.
+    let dir = std::env::temp_dir().join(format!(
+        "spotlight-golden-sim-robust-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("temp workdir creates");
+    let report = dir.join("sim_robust_report.txt");
+
+    let status = Command::new(BIN)
+        .args([
+            "codesign",
+            "--model",
+            "transformer",
+            "--backend",
+            "sim",
+            "--hw",
+            "4",
+            "--sw",
+            "8",
+            "--seed",
+            "3",
+            "--noise",
+            "seed=7,model=gauss,sigma=0.1",
+            "--replicates",
+            "3",
+            "--robust-agg",
+            "median",
+            "--out",
+            report.to_str().unwrap(),
+        ])
+        .status()
+        .expect("binary runs");
+    assert!(status.success());
+
+    let golden = std::fs::read_to_string(golden_dir().join("sim_robust_report.txt"))
+        .expect("golden robust sim report exists");
+    let got = std::fs::read_to_string(&report).expect("report written");
+    assert_eq!(
+        got, golden,
+        "robust sim-backend report must be byte-identical to its golden"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn golden_report_still_contains_the_pinned_result() {
     // Belt and braces: the golden file itself must carry the expected
     // search result, so a regeneration that changed the outcome (rather
