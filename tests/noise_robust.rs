@@ -32,13 +32,25 @@ fn config(threads: usize, seed: u64) -> CodesignConfig {
 }
 
 fn run(noise: Option<&str>, replicates: usize, threads: usize, seed: u64) -> CodesignOutcome {
+    run_on("maestro", None, noise, replicates, threads, seed)
+}
+
+fn run_on(
+    backend: &str,
+    faults: Option<&str>,
+    noise: Option<&str>,
+    replicates: usize,
+    threads: usize,
+    seed: u64,
+) -> CodesignOutcome {
     let mut builder = EvalEngine::builder()
-        .backend("maestro")
+        .backend(backend)
+        .faults(faults.map(|s| s.parse().expect("valid fault spec")))
         .noise(noise.map(|s| s.parse().expect("valid noise spec")));
     if replicates > 1 {
         builder = builder.robust(RobustPolicy::replicated(replicates, Aggregation::Median));
     }
-    let engine = builder.build().expect("maestro backend exists");
+    let engine = builder.build().expect("backend exists");
     Spotlight::with_engine(config(threads, seed), engine).codesign(&[tiny_model()])
 }
 
@@ -77,6 +89,34 @@ fn noisy_robust_run_is_thread_invariant() {
         assert_eq!(out.best_hw, base.best_hw);
         assert_eq!(out.hw_history, base.hw_history);
         assert_eq!(out.evaluations, base.evaluations);
+        assert_eq!(
+            out.stats.replicate_measurements,
+            base.stats.replicate_measurements
+        );
+        assert_eq!(out.stats.outliers_rejected, base.stats.outliers_rejected);
+    }
+}
+
+/// The same invariance on the tile simulator, with transient faults on
+/// top of the noise. Each thread memoizes its simulator's last walk, so
+/// this also checks that what a thread costed before never leaks into
+/// a later result or count.
+#[test]
+fn noisy_faulty_sim_run_is_thread_invariant() {
+    let faults = Some("seed=5,transient=0.05");
+    let sim = |threads| run_on("sim", faults, Some(NOISE), 3, threads, 5);
+    let base = sim(1);
+    // The faults, the replicas and the outlier filter all fired.
+    assert!(base.stats.transient_retries > 0);
+    assert!(base.stats.replicate_measurements >= 3 * base.stats.cache_misses);
+    assert!(base.stats.outliers_rejected > 0);
+    for threads in [2usize, 4] {
+        let out = sim(threads);
+        assert_eq!(out.best_cost.to_bits(), base.best_cost.to_bits());
+        assert_eq!(out.best_hw, base.best_hw);
+        assert_eq!(out.hw_history, base.hw_history);
+        assert_eq!(out.evaluations, base.evaluations);
+        assert_eq!(out.stats.cache_misses, base.stats.cache_misses);
         assert_eq!(
             out.stats.replicate_measurements,
             base.stats.replicate_measurements
