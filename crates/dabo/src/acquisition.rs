@@ -52,9 +52,9 @@ pub fn argmin_lcb(predictions: &[(f64, f64)], kappa: f64) -> Option<usize> {
 /// *minimizing*: `E[max(best - Y, 0)]` for `Y ~ N(mean, std^2)`.
 ///
 /// Larger is more promising. Used as the ablation alternative to LCB
-/// (the paper's daBO uses LCB; EI is the other standard choice and the
-/// `acquisition` Criterion bench and `ablation_design` binary compare
-/// them).
+/// (the paper's daBO uses LCB; EI is the other standard choice, and
+/// the `ablation_design` experiment binary compares the two
+/// acquisition functions).
 ///
 /// # Examples
 ///

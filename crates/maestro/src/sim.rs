@@ -22,7 +22,7 @@
 //! 2. **A higher-fidelity backend** — the paper's conclusion anticipates
 //!    "more costly but more accurate evaluation backends"; plugging the
 //!    simulator in place of the analytical model exercises exactly that
-//!    path (see the `sim_validate` experiment binary).
+//!    path (the root `tests/space_model_properties.rs` pins the agreement).
 
 use spotlight_conv::{ConvLayer, Dim, NUM_DIMS};
 use spotlight_space::{Schedule, TileLevel};
