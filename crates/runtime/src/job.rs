@@ -1,4 +1,4 @@
-//! Jobs: one validated [`RunSpec`](crate::spec::RunSpec) bound to a
+//! Jobs: one validated [`RunSpec`] bound to a
 //! journal path and a lifecycle state.
 
 use std::fmt;

@@ -241,7 +241,7 @@ const REQUIRED_FAMILIES: [&str; 4] = [
 /// `name[{label="value"}] number`, every sample must be preceded by
 /// `# HELP` and `# TYPE` lines for its family, names must be legal
 /// Prometheus identifiers, and the serve contract's required families
-/// ([`REQUIRED_FAMILIES`]) must all be present.
+/// (`REQUIRED_FAMILIES`) must all be present.
 ///
 /// # Errors
 ///

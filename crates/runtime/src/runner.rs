@@ -15,8 +15,8 @@ use spotlight_eval::{GlobalEvalStats, SharedCache};
 use spotlight_maestro::Objective;
 use spotlight_obs::io::StoreIo;
 use spotlight_obs::{
-    parse_journal_tolerant_bytes, read_journal_tolerant, Event, EventSink, JournalError,
-    JournalWriter, Observer, ParsedJournal, ProgressSink, RealFs, Record,
+    parse_journal_tolerant_bytes, Event, EventSink, JournalError, JournalWriter, Observer,
+    ParsedJournal, ProgressSink, RealFs, Record, RunManifest,
 };
 
 use crate::spec::{RunSpec, SpecError};
@@ -225,35 +225,28 @@ pub fn run_job(
 /// Returns a [`RuntimeError`] when the journal is unreadable, carries
 /// no manifest, or already ends in `run_finished`.
 pub fn resume_job(path: &str, progress: bool) -> Result<RunOutput, RuntimeError> {
-    let parsed = read_journal_tolerant(path)??;
-    refuse_corrupt(&parsed, Path::new(path))?;
-    if let Some(tail) = &parsed.truncated_tail {
-        eprintln!(
-            "journal ends in a line cut mid-write at line {} ({} bytes): \
-             truncating to the valid prefix",
-            tail.line,
-            tail.text.len()
-        );
-    }
-    let manifest = parsed
-        .records
-        .iter()
-        .find_map(|r| match &r.event {
-            Event::RunStarted { manifest } => Some(manifest.clone()),
-            _ => None,
-        })
-        .ok_or_else(|| {
-            RuntimeError("journal has no run_started manifest; nothing to resume".into())
-        })?;
-    if parsed
-        .records
-        .iter()
-        .any(|r| matches!(r.event, Event::RunFinished { .. }))
-    {
-        return Err(RuntimeError(
-            "journal already ends in run_finished; nothing to resume".into(),
-        ));
-    }
+    let fs: Arc<dyn StoreIo> = Arc::new(RealFs);
+    let (manifest, checkpoints, writer) = recover_journal(&fs, Path::new(path), |parsed, _| {
+        if let Some(tail) = &parsed.truncated_tail {
+            eprintln!(
+                "journal ends in a line cut mid-write at line {} ({} bytes): \
+                 truncating to the valid prefix",
+                tail.line,
+                tail.text.len()
+            );
+        }
+        if parsed
+            .records
+            .iter()
+            .any(|r| matches!(r.event, Event::RunFinished { .. }))
+        {
+            return Err(RuntimeError(
+                "journal already ends in run_finished; nothing to resume".into(),
+            ));
+        }
+        Ok(())
+    })?
+    .ok_or_else(|| RuntimeError("journal has no run_started manifest; nothing to resume".into()))?;
     let spec = RunSpec::from_manifest(&manifest)?;
     if spec.models.is_empty() {
         return Err(RuntimeError(
@@ -263,21 +256,7 @@ pub fn resume_job(path: &str, progress: bool) -> Result<RunOutput, RuntimeError>
     let models = spec.resolve_models()?;
     let cfg = spec.to_codesign_config()?;
     let engine = spec.build_engine()?;
-    let checkpoints: Vec<SampleCheckpoint> = parsed
-        .records
-        .iter()
-        .filter_map(|r| SampleCheckpoint::from_event(&r.event))
-        .collect();
-    // Drop the crash scar so the continued journal stays well-formed,
-    // then append to the valid prefix, matching the file's framing
-    // discipline (a daemon journal resumed from the CLI stays checked).
-    let fs: Arc<dyn StoreIo> = Arc::new(RealFs);
-    fs.set_len(Path::new(path), parsed.valid_bytes)?;
-    let mut sinks: Vec<Arc<dyn EventSink>> = vec![Arc::new(JournalWriter::append_with(
-        &fs,
-        path,
-        parsed.checked,
-    )?)];
+    let mut sinks: Vec<Arc<dyn EventSink>> = vec![Arc::new(writer)];
     if progress {
         sinks.push(Arc::new(ProgressSink::stderr()));
     }
@@ -294,6 +273,41 @@ pub fn resume_job(path: &str, progress: bool) -> Result<RunOutput, RuntimeError>
         outcome,
         objective: cfg.objective(),
     })
+}
+
+/// A recovered journal's manifest and checkpoints, and a writer that
+/// appends after its valid prefix.
+type Recovered = (Box<RunManifest>, Vec<SampleCheckpoint>, JournalWriter);
+
+/// Recovers the journal at `path` for appending: parses it tolerantly,
+/// refuses a corrupt one, and finds its manifest and checkpoints. Once
+/// the caller's `check` accepts the parse and manifest, it drops the
+/// crash scar and opens a writer after the valid prefix, in the framing
+/// the file already uses (a daemon journal resumed from the CLI stays
+/// checked). `None`, with the file untouched, when no manifest reached
+/// the disk.
+fn recover_journal(
+    fs: &Arc<dyn StoreIo>,
+    path: &Path,
+    check: impl FnOnce(&ParsedJournal, &RunManifest) -> Result<(), RuntimeError>,
+) -> Result<Option<Recovered>, RuntimeError> {
+    let parsed = parse_journal_tolerant_bytes(&fs.read(path)?)?;
+    refuse_corrupt(&parsed, path)?;
+    let Some(manifest) = parsed.records.iter().find_map(|r| match &r.event {
+        Event::RunStarted { manifest } => Some(manifest.clone()),
+        _ => None,
+    }) else {
+        return Ok(None);
+    };
+    check(&parsed, &manifest)?;
+    let checkpoints = parsed
+        .records
+        .iter()
+        .filter_map(|r| SampleCheckpoint::from_event(&r.event))
+        .collect();
+    fs.set_len(path, parsed.valid_bytes)?;
+    let writer = JournalWriter::append_with(fs, path, parsed.checked)?;
+    Ok(Some((manifest, checkpoints, writer)))
 }
 
 /// Truncates a recovered journal at its first epilogue line
@@ -360,51 +374,33 @@ pub fn advance_job(
     let real: Arc<dyn StoreIo> = Arc::new(RealFs);
     let fs = io.unwrap_or(&real);
 
-    let (writer, replay) = if journal.exists() {
+    let recovered = if journal.exists() {
         strip_epilogue(fs, journal)?;
-        let parsed = parse_journal_tolerant_bytes(&fs.read(journal)?)?;
-        refuse_corrupt(&parsed, journal)?;
-        let manifest = parsed.records.iter().find_map(|r| match &r.event {
-            Event::RunStarted { manifest } => Some(manifest.clone()),
-            _ => None,
-        });
-        if let Some(manifest) = manifest {
+        recover_journal(fs, journal, |_, manifest| {
             // Cheap observations checkpointed under one ladder must not
             // be replayed under another: the journal's manifest pins the
             // fidelity spec for the rest of the job's life.
-            let journal_fidelity = manifest.fidelity.as_str();
             let spec_fidelity = spec.fidelity.as_deref().unwrap_or("");
-            if journal_fidelity != spec_fidelity {
+            if manifest.fidelity != spec_fidelity {
                 return Err(RuntimeError(format!(
                     "journal was started with fidelity {:?} but the job spec says {:?}; \
                      refusing to resume under a different ladder",
-                    journal_fidelity, spec_fidelity,
+                    manifest.fidelity, spec_fidelity,
                 )));
             }
-            let checkpoints: Vec<SampleCheckpoint> = parsed
-                .records
-                .iter()
-                .filter_map(|r| SampleCheckpoint::from_event(&r.event))
-                .collect();
-            // Drop any crash scar, then append to the valid prefix,
-            // keeping the framing discipline the file already uses.
-            fs.set_len(journal, parsed.valid_bytes)?;
-            (
-                JournalWriter::append_with(fs, journal, parsed.checked)?,
-                checkpoints,
-            )
-        } else {
-            // Died before the manifest reached the disk: start over.
-            (
-                JournalWriter::create_with(fs, journal, io.is_some())?,
-                Vec::new(),
-            )
-        }
+            Ok(())
+        })?
     } else {
-        (
+        None
+    };
+    let (writer, replay) = match recovered {
+        Some((_, checkpoints, writer)) => (writer, checkpoints),
+        // A new job, or one that died before the manifest reached the
+        // disk: start over.
+        None => (
             JournalWriter::create_with(fs, journal, io.is_some())?,
             Vec::new(),
-        )
+        ),
     };
 
     let outcome = Spotlight::with_engine(cfg, engine)

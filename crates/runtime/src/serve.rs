@@ -183,7 +183,7 @@ impl Conn for UnixStream {
 
 /// Runs the accept loop until a client issues `shutdown`. The loop
 /// blocks in `accept` and checks the stop flag each time it returns; a
-/// shutdown wakes it with a connection of its own (see [`Stop::raise`]),
+/// shutdown wakes it with a connection of its own (see `Stop::raise`),
 /// and the connection accepted after the flag is set is dropped unread.
 /// Each connection gets its own thread; connection threads poll the stop
 /// flag so a shutdown drains them promptly even mid-session. Handles of

@@ -36,7 +36,7 @@
 //! # Integrity
 //!
 //! Every durable write goes through a [`StoreIo`] (the production
-//! [`RealFs`](spotlight_obs::io::RealFs), or a seeded
+//! [`RealFs`], or a seeded
 //! [`FaultFs`](spotlight_obs::FaultFs) under `--disk-faults`). WAL lines
 //! are CRC32C-framed (see [`spotlight_obs::crc`]), with the first line
 //! carrying the `integrity` marker so the file declares its own

@@ -13,7 +13,7 @@ use rand_chacha::ChaCha8Rng;
 
 use spotlight_accel::{Budget, HardwareConfig};
 use spotlight_conv::ConvLayer;
-use spotlight_dabo::Trace;
+use spotlight_dabo::{Search, Trace};
 use spotlight_eval::{EvalEngine, EvalStats, Fidelity, FidelityMode, FidelitySpec, RobustPolicy};
 use spotlight_maestro::{CostReport, Objective};
 use spotlight_models::{Model, ModelId};
@@ -487,7 +487,10 @@ pub struct SampleCheckpoint {
 
 impl SampleCheckpoint {
     /// Decodes a journal `checkpoint` event (the f64 bit patterns
-    /// included); `None` for any other event kind.
+    /// included); `None` for any other event kind. Malformed rung words
+    /// decode to no entries, and replay refuses a rung list longer than
+    /// the configured ladder ([`ResumeError::TooManyRungs`]), so a
+    /// hand-edited journal is replayed or refused instead of panicking.
     pub fn from_event(event: &Event) -> Option<SampleCheckpoint> {
         match event {
             Event::Checkpoint {
@@ -515,36 +518,42 @@ impl SampleCheckpoint {
                 failed_layers: *failed_layers,
                 outliers_rejected: *outliers_rejected,
                 rng_word_pos: *rng_word_pos,
-                rung_costs: decode_rungs(rungs),
+                rung_costs: rungs
+                    .split(':')
+                    .filter_map(|w| w.parse().ok())
+                    .map(f64::from_bits)
+                    .collect(),
             }),
             _ => None,
         }
     }
-}
 
-/// Encodes per-rung ladder costs as the checkpoint's `rungs` field:
-/// `:`-joined `f64::to_bits` decimals, cheapest rung first, empty for
-/// full-fidelity runs (the field is then omitted from the journal line,
-/// keeping clean runs byte-identical to pre-fidelity journals).
-fn encode_rungs(costs: &[f64]) -> String {
-    costs
-        .iter()
-        .map(|c| c.to_bits().to_string())
-        .collect::<Vec<_>>()
-        .join(":")
-}
-
-/// Inverse of [`encode_rungs`]; malformed words decode to no entries so
-/// a hand-edited journal degrades to a full-fidelity checkpoint instead
-/// of panicking.
-fn decode_rungs(s: &str) -> Vec<f64> {
-    if s.is_empty() {
-        return Vec::new();
+    /// Encodes the checkpoint as the journal event [`Self::from_event`]
+    /// decodes. Metrics travel as f64 bit patterns for an exact round-trip,
+    /// infinities included; rung costs as `:`-joined bit patterns, cheapest
+    /// first. Without a ladder the list is empty and the field is omitted
+    /// from the journal line, as in pre-fidelity journals.
+    pub(crate) fn to_event(&self) -> Event {
+        Event::Checkpoint {
+            admitted: self.admitted,
+            cost_bits: self.cost.to_bits(),
+            delay_bits: self.delay_cycles.to_bits(),
+            energy_bits: self.energy_nj.to_bits(),
+            evaluations: self.evaluations,
+            sw_searches: self.sw_searches,
+            infeasible: self.infeasible,
+            quarantined: self.quarantined,
+            failed_layers: self.failed_layers,
+            outliers_rejected: self.outliers_rejected,
+            rng_word_pos: self.rng_word_pos,
+            rungs: self
+                .rung_costs
+                .iter()
+                .map(|c| c.to_bits().to_string())
+                .collect::<Vec<_>>()
+                .join(":"),
+        }
     }
-    s.split(':')
-        .filter_map(|w| w.parse::<u64>().ok())
-        .map(f64::from_bits)
-        .collect()
 }
 
 /// Why [`Spotlight::resume`] refused to replay a checkpoint prefix.
@@ -569,6 +578,16 @@ pub enum ResumeError {
         /// Word position the replay reached.
         actual: u64,
     },
+    /// A checkpoint lists more rung costs than the configured ladder has
+    /// rungs (none without a ladder): another ladder, or an edited journal.
+    TooManyRungs {
+        /// Zero-based hardware-sample index of the checkpoint.
+        sample: usize,
+        /// Rung costs the checkpoint records.
+        rungs: usize,
+        /// Rungs the configured ladder has; 0 without a ladder.
+        configured: usize,
+    },
 }
 
 impl std::fmt::Display for ResumeError {
@@ -590,6 +609,15 @@ impl std::fmt::Display for ResumeError {
                 f,
                 "replay diverged at hardware sample {sample}: checkpoint \
                  recorded RNG word position {expected}, replay reached {actual}"
+            ),
+            ResumeError::TooManyRungs {
+                sample,
+                rungs,
+                configured,
+            } => write!(
+                f,
+                "checkpoint for hardware sample {sample} records {rungs} fidelity \
+                 rungs but the configured ladder has {configured}"
             ),
         }
     }
@@ -644,22 +672,129 @@ pub enum SliceOutcome {
     },
 }
 
-/// What one hardware sample's climb up the fidelity ladder produced.
-#[derive(Debug)]
-struct LadderResult {
-    /// Final cost: exact when the full rung was reached, the last cheap
-    /// estimate otherwise.
+/// What evaluating one hardware sample produced, before checkpointing.
+struct SampleResult {
+    /// Final cost: exact when `plans` is `Some`, otherwise the last cheap
+    /// estimate of a demoted sample, or infinity for a rejected one.
     cost: f64,
-    /// Total delay across models; finite only at the full rung.
+    /// Total delay and energy across models; infinite without `plans`.
     delay_cycles: f64,
-    /// Total energy across models; finite only at the full rung.
     energy_nj: f64,
-    /// Exact per-model plans; `Some` only at the full rung.
+    /// Exact per-model plans; `Some` only when the sample reached the
+    /// full rung.
     plans: Option<Vec<ModelPlan>>,
-    /// Cost observed at each rung climbed, cheapest first.
+    /// Cost observed at each rung climbed, cheapest first; empty without
+    /// a fidelity ladder.
     rung_costs: Vec<f64>,
-    /// Whether the sample survived to the full rung.
-    reached_full: bool,
+}
+
+impl SampleResult {
+    /// The exact result of `plans`, costed by their aggregate objective
+    /// (infinite when any model has an infeasible layer).
+    fn exact(plans: Vec<ModelPlan>, objective: Objective) -> SampleResult {
+        SampleResult {
+            cost: plans.iter().map(|p| p.objective_value(objective)).sum(),
+            delay_cycles: plans.iter().map(|p| p.total_delay).sum(),
+            energy_nj: plans.iter().map(|p| p.total_energy).sum(),
+            plans: Some(plans),
+            rung_costs: Vec::new(),
+        }
+    }
+
+    /// A cost with no realizable design behind it.
+    fn estimate(cost: f64) -> SampleResult {
+        SampleResult {
+            cost,
+            delay_cycles: f64::INFINITY,
+            energy_nj: f64::INFINITY,
+            plans: None,
+            rung_costs: Vec::new(),
+        }
+    }
+}
+
+/// The co-design loop's state between hardware samples. Replayed and
+/// live samples alike advance it through [`LoopState::observe`], so a
+/// resumed run rebuilds exactly the state the killed run had reached.
+struct LoopState {
+    hw_search: Box<dyn Search<HardwareConfig>>,
+    fidelity: Option<FidelitySpec>,
+    budget: Budget,
+    frontier: ParetoFrontier,
+    /// The winning sample's hardware, its plans when it ran live (a
+    /// replayed winner's are recomputed once at the end, off the books),
+    /// its cost and its stream index.
+    best: Option<(HardwareConfig, Option<Vec<ModelPlan>>, f64, u64)>,
+    /// Per-rung cost histories for the successive-halving ladder, one
+    /// per cheap rung, that promotion ranks each new sample against.
+    rung_histories: Vec<Vec<f64>>,
+    eval_trace: Vec<(u64, f64)>,
+}
+
+impl LoopState {
+    /// The per-sample transition: folds checkpoint `cp` of sample `sample`,
+    /// proposed as `hw`, into the frontier, the best design (with `plans`
+    /// when it ran live), the rung histories, the hardware surrogate and
+    /// the eval trace. Returns whether the sample joined the frontier and
+    /// whether it became the best.
+    fn observe(
+        &mut self,
+        sample: usize,
+        hw: HardwareConfig,
+        cp: &SampleCheckpoint,
+        plans: Option<Vec<ModelPlan>>,
+    ) -> Result<(bool, bool), ResumeError> {
+        let rungs = self.fidelity.as_ref().map_or(0, |spec| spec.rungs as usize);
+        if cp.rung_costs.len() > rungs {
+            return Err(ResumeError::TooManyRungs {
+                sample,
+                rungs: cp.rung_costs.len(),
+                configured: rungs,
+            });
+        }
+        // Infeasible samples (any layer without a feasible schedule),
+        // rejected and demoted samples carry non-finite metrics and must
+        // not join the frontier of realizable designs.
+        let grew = cp.admitted
+            && cp.delay_cycles.is_finite()
+            && cp.energy_nj.is_finite()
+            && self.frontier.insert(DesignPoint {
+                hw,
+                delay_cycles: cp.delay_cycles,
+                energy_nj: cp.energy_nj,
+                area_mm2: self.budget.area_mm2(&hw),
+            });
+        // A demoted sample's checkpoint carries its (finite) cheap
+        // estimate for the surrogate, but only a sample that reached the
+        // full rung may become the best.
+        let reached_full = cp.rung_costs.is_empty() || cp.rung_costs.len() == rungs;
+        let improved = reached_full
+            && cp.cost.is_finite()
+            && self.best.as_ref().is_none_or(|(_, _, b, _)| cp.cost < *b);
+        if improved {
+            self.best = Some((hw, plans, cp.cost, sample as u64));
+        }
+        // Every cheap rung the sample was ranked at records its cost.
+        // There is one history per cheap rung, so the full rung's cost,
+        // the last entry of a sample that reached it, is left out.
+        for (history, cost) in self.rung_histories.iter_mut().zip(&cp.rung_costs) {
+            history.push(*cost);
+        }
+        // A demoted sample's cheap estimate reaches the hardware
+        // surrogate with its rung's calibrated variance inflation, so the
+        // searcher trusts it less — never equally, never not at all (the
+        // PRIME lesson).
+        match &self.fidelity {
+            Some(spec) if !reached_full => {
+                let inflation = spec.variance_inflation((cp.rung_costs.len() - 1) as u8);
+                self.hw_search.observe_noisy(hw, cp.cost, inflation);
+            }
+            _ => self.hw_search.observe(hw, cp.cost),
+        }
+        let best_so_far = self.best.as_ref().map_or(f64::INFINITY, |(_, _, c, _)| *c);
+        self.eval_trace.push((cp.evaluations, best_so_far));
+        Ok((grew, improved))
+    }
 }
 
 /// SplitMix64 finalizer: a bijective avalanche mix.
@@ -754,11 +889,12 @@ impl Spotlight {
         models: &[Model],
         stream: u64,
     ) -> (Vec<ModelPlan>, u64) {
-        self.optimize_software_with(&self.observer, hw, models, stream)
+        self.optimize_software_with(&self.observer, hw, models, stream, Fidelity::Full)
     }
 
     /// [`Spotlight::optimize_software`] against an explicit base
-    /// observer; resume's best-plan recomputation passes the null
+    /// observer and at an explicit fidelity (a replicate or backend
+    /// ladder's rung); resume's best-plan recomputation passes the null
     /// observer so the replayed sample's events are not journaled twice.
     fn optimize_software_with(
         &self,
@@ -766,13 +902,14 @@ impl Spotlight {
         hw: &HardwareConfig,
         models: &[Model],
         stream: u64,
+        fidelity: Fidelity,
     ) -> (Vec<ModelPlan>, u64) {
         // Flatten the per-model layer lists into one indexed work list.
         let items: Vec<&spotlight_models::LayerEntry> =
             models.iter().flat_map(|m| m.layers().iter()).collect();
         let ordinals: Vec<usize> = (0..items.len()).collect();
         let results =
-            self.optimize_layer_set(base_observer, hw, &items, &ordinals, stream, Fidelity::Full);
+            self.optimize_layer_set(base_observer, hw, &items, &ordinals, stream, fidelity);
         let evals = results.iter().map(|r| r.evaluations).sum();
         (self.assemble_plans(models, results.into_iter()), evals)
     }
@@ -927,35 +1064,32 @@ impl Spotlight {
         plans
     }
 
-    /// Aggregate objective across models (summed), infinite when any
-    /// model has an infeasible layer.
-    fn aggregate(&self, plans: &[ModelPlan]) -> f64 {
-        plans
-            .iter()
-            .map(|p| p.objective_value(self.config.objective))
-            .sum()
-    }
-
-    /// Climbs one hardware sample up the successive-halving fidelity
-    /// ladder: evaluate at the cheapest rung, promote to the next rung
-    /// only while the sample's cost ranks inside the top
-    /// `ceil(n / eta)` of everything seen at that rung so far
-    /// (`histories`), demote otherwise. Only a sample that reaches the
-    /// full rung produces exact plans; a demoted sample returns its last
-    /// cheap estimate, to be fed to the hardware surrogate with that
-    /// rung's variance inflation. Everything here is sequential in
-    /// hardware-sample order and the per-layer searches underneath are
-    /// deterministic per layer ordinal, so promotion decisions are
-    /// identical at any thread count.
-    fn climb_ladder(
+    /// Runs one admitted hardware sample's software search, reporting
+    /// to `observer`: the plain nested search, or with a fidelity ladder
+    /// a successive-halving climb. The climb evaluates at the cheapest
+    /// rung and promotes only while the sample's cost ranks inside the
+    /// top `ceil(n / eta)` of its rung's `histories` plus itself. Only a
+    /// sample that reaches the full rung produces exact plans; a demoted
+    /// one returns its last cheap estimate for the surrogate. The
+    /// histories are read, not extended: [`LoopState::observe`] records
+    /// every sample's rung costs. The climb is sequential in
+    /// hardware-sample order and the per-layer searches are deterministic
+    /// per layer ordinal, so promotions are identical at any thread count.
+    fn search_sample(
         &self,
-        spec: &FidelitySpec,
+        fidelity: Option<&FidelitySpec>,
         models: &[Model],
         hw: &HardwareConfig,
         stream: u64,
-        histories: &mut [Vec<f64>],
-        sample_obs: &Observer,
-    ) -> LadderResult {
+        histories: &[Vec<f64>],
+        observer: &Observer,
+    ) -> SampleResult {
+        let Some(spec) = fidelity else {
+            let (plans, _) =
+                self.optimize_software_with(observer, hw, models, stream, Fidelity::Full);
+            return SampleResult::exact(plans, self.config.objective);
+        };
+        let sample_obs = observer.with_hw_sample(stream);
         let items: Vec<&spotlight_models::LayerEntry> =
             models.iter().flat_map(|m| m.layers().iter()).collect();
         let full_rung = spec.full_rung();
@@ -965,46 +1099,32 @@ impl Spotlight {
         let mut done: Vec<Option<SwResult>> = vec![None; items.len()];
         let mut rung_costs = Vec::with_capacity(spec.rungs as usize);
         for rung in 0..=full_rung {
-            let (cost, delay_cycles, energy_nj, plans) = match spec.mode {
-                FidelityMode::Proxy => {
-                    self.evaluate_proxy_rung(spec, models, &items, rung, hw, stream, &mut done)
-                }
+            let result = match spec.mode {
+                FidelityMode::Proxy => self.evaluate_proxy_rung(
+                    spec, models, &items, rung, hw, stream, observer, &mut done,
+                ),
                 FidelityMode::Replicate | FidelityMode::Backend => {
-                    let ordinals: Vec<usize> = (0..items.len()).collect();
-                    let results = self.optimize_layer_set(
-                        &self.observer,
-                        hw,
-                        &items,
-                        &ordinals,
-                        stream,
-                        spec.fidelity_for(rung),
-                    );
-                    let plans = self.assemble_plans(models, results.into_iter());
-                    let cost = self.aggregate(&plans);
-                    let delay: f64 = plans.iter().map(|p| p.total_delay).sum();
-                    let energy: f64 = plans.iter().map(|p| p.total_energy).sum();
-                    (cost, delay, energy, Some(plans))
+                    let fidelity = spec.fidelity_for(rung);
+                    let (plans, _) =
+                        self.optimize_software_with(observer, hw, models, stream, fidelity);
+                    SampleResult::exact(plans, self.config.objective)
                 }
             };
+            let cost = result.cost;
             rung_costs.push(cost);
             if rung == full_rung {
-                return LadderResult {
-                    cost,
-                    delay_cycles,
-                    energy_nj,
-                    plans,
+                return SampleResult {
                     rung_costs,
-                    reached_full: true,
+                    ..result
                 };
             }
-            let hist = &mut histories[rung as usize];
-            hist.push(cost);
-            // Rank among everything this rung has seen (self included);
+            // Rank among everything this rung has seen, self included;
             // ties break toward promotion, which is order-independent
             // and therefore deterministic. `ceil(n / eta)` lets the
             // first sample through, bootstrapping the ladder.
+            let hist = &histories[rung as usize];
             let rank = hist.iter().filter(|c| **c < cost).count() + 1;
-            let promote = cost.is_finite() && rank <= spec.promote_quota(hist.len());
+            let promote = cost.is_finite() && rank <= spec.promote_quota(hist.len() + 1);
             if promote {
                 sample_obs.emit_with(|| Event::RungPromoted {
                     rung: (rung + 1) as u64,
@@ -1015,24 +1135,21 @@ impl Spotlight {
                     rung: rung as u64,
                     cost,
                 });
-                return LadderResult {
-                    cost,
-                    delay_cycles: f64::INFINITY,
-                    energy_nj: f64::INFINITY,
-                    plans: None,
+                return SampleResult {
                     rung_costs,
-                    reached_full: false,
+                    ..SampleResult::estimate(cost)
                 };
             }
         }
         unreachable!("the full rung returns from inside the loop")
     }
 
-    /// Evaluates one proxy rung: searches the layers in this rung's
-    /// nested subset (reusing results from cheaper rungs via `done`),
-    /// all at full per-triple fidelity, and extrapolates each model's
-    /// delay/energy by its MACs coverage ratio. The full rung covers
-    /// every layer, so its result is exactly the full-fidelity answer.
+    /// Evaluates one proxy rung, reporting to `observer`: searches the
+    /// layers in this rung's nested subset (reusing results from cheaper
+    /// rungs via `done`), all at full per-triple fidelity, and
+    /// extrapolates each model's delay/energy by its MACs coverage ratio.
+    /// The full rung covers every layer, so its result is exactly the
+    /// full-fidelity answer.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_proxy_rung(
         &self,
@@ -1042,8 +1159,9 @@ impl Spotlight {
         rung: u8,
         hw: &HardwareConfig,
         stream: u64,
+        observer: &Observer,
         done: &mut [Option<SwResult>],
-    ) -> (f64, f64, f64, Option<Vec<ModelPlan>>) {
+    ) -> SampleResult {
         let subset: Vec<usize> = if rung == spec.full_rung() {
             (0..items.len()).collect()
         } else {
@@ -1055,7 +1173,7 @@ impl Spotlight {
             .filter(|&o| done[o].is_none())
             .collect();
         let results =
-            self.optimize_layer_set(&self.observer, hw, items, &missing, stream, Fidelity::Full);
+            self.optimize_layer_set(observer, hw, items, &missing, stream, Fidelity::Full);
         for (&ordinal, result) in missing.iter().zip(results) {
             done[ordinal] = Some(result);
         }
@@ -1067,10 +1185,7 @@ impl Spotlight {
                 done.iter_mut()
                     .map(|slot| slot.take().expect("full rung covers every layer")),
             );
-            let cost = self.aggregate(&plans);
-            let delay: f64 = plans.iter().map(|p| p.total_delay).sum();
-            let energy: f64 = plans.iter().map(|p| p.total_energy).sum();
-            return (cost, delay, energy, Some(plans));
+            return SampleResult::exact(plans, self.config.objective);
         }
         // Cheap estimate: per-model partial sums over the subset, scaled
         // by the model's MACs coverage; a model whose covered layers
@@ -1111,7 +1226,7 @@ impl Spotlight {
             };
             cost += est.objective_value(self.config.objective);
         }
-        (cost, f64::INFINITY, f64::INFINITY, None)
+        SampleResult::estimate(cost)
     }
 
     /// The layer ordinals a proxy rung evaluates: per model, the minimal
@@ -1154,7 +1269,7 @@ impl Spotlight {
     ///
     /// Panics if `models` is empty.
     pub fn codesign(&self, models: &[Model]) -> CodesignOutcome {
-        self.run(models, &[])
+        self.resume(models, &[])
             .expect("a fresh run replays nothing and cannot fail to resume")
     }
 
@@ -1174,14 +1289,6 @@ impl Spotlight {
         models: &[Model],
         replay: &[SampleCheckpoint],
     ) -> Result<CodesignOutcome, ResumeError> {
-        self.run(models, replay)
-    }
-
-    fn run(
-        &self,
-        models: &[Model],
-        replay: &[SampleCheckpoint],
-    ) -> Result<CodesignOutcome, ResumeError> {
         match self.run_slice(models, replay, None)? {
             SliceOutcome::Finished(outcome) => Ok(*outcome),
             SliceOutcome::Paused { .. } => {
@@ -1194,6 +1301,11 @@ impl Spotlight {
     /// prefix, then pauses at the sample-boundary checkpoint. `None`
     /// means unbounded — identical to [`Spotlight::codesign`] /
     /// [`Spotlight::resume`].
+    ///
+    /// Every hardware sample takes one step: propose, evaluate (live) or
+    /// take the recorded checkpoint (replay), observe, and — live only —
+    /// journal the checkpoint. Replayed and live samples share the
+    /// observe transition, so replay rebuilds the exact loop state.
     ///
     /// A paused slice leaves the journal flushed through its last
     /// [`Event::Checkpoint`] and emits no `phase_timing` or
@@ -1244,78 +1356,31 @@ impl Spotlight {
             });
         }
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let mut hw_search =
-            build_hw_search(self.config.variant, self.config.ranges, self.config.budget);
-        // Per-rung cost histories for the successive-halving ladder,
-        // rebuilt exactly from replayed checkpoints so promotion
-        // thresholds continue where the killed run left off.
-        let fidelity_spec = self.engine.fidelity_spec().cloned();
-        let mut rung_histories: Vec<Vec<f64>> = match &fidelity_spec {
-            Some(spec) => vec![Vec::new(); spec.full_rung() as usize],
-            None => Vec::new(),
+        let fidelity = self.engine.fidelity_spec().cloned();
+        let cheap_rungs = fidelity
+            .as_ref()
+            .map_or(0, |spec| spec.full_rung() as usize);
+        let mut state = LoopState {
+            hw_search: build_hw_search(self.config.variant, self.config.ranges, self.config.budget),
+            rung_histories: vec![Vec::new(); cheap_rungs],
+            fidelity,
+            budget: self.config.budget,
+            frontier: ParetoFrontier::new(),
+            best: None,
+            eval_trace: Vec::with_capacity(self.config.hw_samples),
         };
 
-        // `best` carries the winning sample's plans when it ran live, or
-        // its stream index alone when it was replayed — the plans are
-        // then recomputed once at the end, off the books.
-        let mut best: Option<(HardwareConfig, Option<Vec<ModelPlan>>, f64, u64)> = None;
-        let mut eval_trace = Vec::with_capacity(self.config.hw_samples);
-        let mut frontier = ParetoFrontier::new();
-
         for (sample, cp) in replay.iter().enumerate() {
-            let hw = hw_search.suggest(&mut rng);
-            let word_pos = rng.word_pos();
-            if word_pos != cp.rng_word_pos {
+            let hw = state.hw_search.suggest(&mut rng);
+            let actual = rng.word_pos();
+            if actual != cp.rng_word_pos {
                 return Err(ResumeError::RngDrift {
                     sample,
                     expected: cp.rng_word_pos,
-                    actual: word_pos,
+                    actual,
                 });
             }
-            if cp.admitted && cp.delay_cycles.is_finite() && cp.energy_nj.is_finite() {
-                frontier.insert(DesignPoint {
-                    hw,
-                    delay_cycles: cp.delay_cycles,
-                    energy_nj: cp.energy_nj,
-                    area_mm2: self.config.budget.area_mm2(&hw),
-                });
-            }
-            // A demoted sample's checkpoint carries its (finite) cheap
-            // estimate so the surrogate replay is exact, but only a
-            // sample that reached the full rung may become the best.
-            let reached_full = match &fidelity_spec {
-                Some(spec) => {
-                    cp.rung_costs.is_empty() || cp.rung_costs.len() == spec.rungs as usize
-                }
-                None => true,
-            };
-            if reached_full
-                && cp.cost.is_finite()
-                && best.as_ref().is_none_or(|(_, _, b, _)| cp.cost < *b)
-            {
-                best = Some((hw, None, cp.cost, sample as u64));
-            }
-            match &fidelity_spec {
-                Some(spec) if !cp.rung_costs.is_empty() => {
-                    let climbed = if reached_full {
-                        cp.rung_costs.len() - 1
-                    } else {
-                        cp.rung_costs.len()
-                    };
-                    for (r, cost) in cp.rung_costs[..climbed].iter().enumerate() {
-                        rung_histories[r].push(*cost);
-                    }
-                    if reached_full {
-                        hw_search.observe(hw, cp.cost);
-                    } else {
-                        let demoted_at = (cp.rung_costs.len() - 1) as u8;
-                        hw_search.observe_noisy(hw, cp.cost, spec.variance_inflation(demoted_at));
-                    }
-                }
-                _ => hw_search.observe(hw, cp.cost),
-            }
-            let best_so_far = best.as_ref().map_or(f64::INFINITY, |(_, _, c, _)| *c);
-            eval_trace.push((cp.evaluations, best_so_far));
+            state.observe(sample, hw, cp, None)?;
         }
         if let Some(last) = replay.last() {
             self.engine.restore_logical_counters(
@@ -1355,101 +1420,34 @@ impl Spotlight {
             let sample_obs = self.observer.with_hw_sample(hw_sample as u64);
             let hw = self
                 .engine
-                .time_phase("hw_search", || hw_search.suggest(&mut rng));
+                .time_phase("hw_search", || state.hw_search.suggest(&mut rng));
             let admitted = self.config.budget.admits(&hw);
             sample_obs.emit_with(|| Event::HwProposed {
                 hw: hw.to_string(),
                 admitted,
             });
-            let mut rungs_climbed = Vec::new();
-            let (cost, delay_cycles, energy_nj) = if admitted {
-                let (plans, delay_cycles, energy_nj, cost, reached_full) = match &fidelity_spec {
-                    Some(spec) => {
-                        let ladder = self.engine.time_phase("sw_search", || {
-                            self.climb_ladder(
-                                spec,
-                                models,
-                                &hw,
-                                hw_sample as u64,
-                                &mut rung_histories,
-                                &sample_obs,
-                            )
-                        });
-                        rungs_climbed = ladder.rung_costs;
-                        (
-                            ladder.plans,
-                            ladder.delay_cycles,
-                            ladder.energy_nj,
-                            ladder.cost,
-                            ladder.reached_full,
-                        )
-                    }
-                    None => {
-                        let (plans, _) = self.engine.time_phase("sw_search", || {
-                            self.optimize_software(&hw, models, hw_sample as u64)
-                        });
-                        let cost = self.aggregate(&plans);
-                        let delay_cycles: f64 = plans.iter().map(|p| p.total_delay).sum();
-                        let energy_nj: f64 = plans.iter().map(|p| p.total_energy).sum();
-                        (Some(plans), delay_cycles, energy_nj, cost, true)
-                    }
-                };
-                // Infeasible samples (any layer without a feasible
-                // schedule) and demoted ladder samples carry non-finite
-                // metrics and must not join the frontier of realizable
-                // designs.
-                if delay_cycles.is_finite()
-                    && energy_nj.is_finite()
-                    && frontier.insert(DesignPoint {
-                        hw,
-                        delay_cycles,
-                        energy_nj,
-                        area_mm2: self.config.budget.area_mm2(&hw),
-                    })
-                {
-                    sample_obs.emit_with(|| Event::ParetoUpdated {
-                        frontier_len: frontier.len() as u64,
-                    });
-                }
-                if reached_full
-                    && cost.is_finite()
-                    && best.as_ref().is_none_or(|(_, _, b, _)| cost < *b)
-                {
-                    best = Some((hw, plans, cost, hw_sample as u64));
-                    sample_obs.emit_with(|| Event::BestImproved { cost });
-                }
-                (cost, delay_cycles, energy_nj)
+            let result = if admitted {
+                self.engine.time_phase("sw_search", || {
+                    self.search_sample(
+                        state.fidelity.as_ref(),
+                        models,
+                        &hw,
+                        hw_sample as u64,
+                        &state.rung_histories,
+                        &self.observer,
+                    )
+                })
             } else {
                 // Out-of-budget configurations are rejected without
                 // spending the software budget.
-                (f64::INFINITY, f64::INFINITY, f64::INFINITY)
+                SampleResult::estimate(f64::INFINITY)
             };
-            // A demoted sample's cheap estimate reaches the hardware
-            // surrogate with its rung's calibrated variance inflation,
-            // so the searcher trusts it less — never equally, never not
-            // at all (the PRIME lesson).
-            match &fidelity_spec {
-                Some(spec)
-                    if admitted
-                        && !rungs_climbed.is_empty()
-                        && rungs_climbed.len() < spec.rungs as usize =>
-                {
-                    let demoted_at = (rungs_climbed.len() - 1) as u8;
-                    hw_search.observe_noisy(hw, cost, spec.variance_inflation(demoted_at));
-                }
-                _ => hw_search.observe(hw, cost),
-            }
-            let best_so_far = best.as_ref().map_or(f64::INFINITY, |(_, _, c, _)| *c);
-            eval_trace.push((self.engine.evaluations(), best_so_far));
-            // Checkpoint at the sample boundary and flush, so a killed
-            // process loses at most the in-flight sample. Metrics travel
-            // as f64 bits for an exact round-trip (infinities included).
             let s = self.engine.stats();
-            sample_obs.emit_with(|| Event::Checkpoint {
+            let checkpoint = SampleCheckpoint {
                 admitted,
-                cost_bits: cost.to_bits(),
-                delay_bits: delay_cycles.to_bits(),
-                energy_bits: energy_nj.to_bits(),
+                cost: result.cost,
+                delay_cycles: result.delay_cycles,
+                energy_nj: result.energy_nj,
                 evaluations: s.evaluations,
                 sw_searches: s.sw_searches,
                 infeasible: s.infeasible,
@@ -1457,17 +1455,32 @@ impl Spotlight {
                 failed_layers: s.failed_layers,
                 outliers_rejected: s.outliers_rejected,
                 rng_word_pos: rng.word_pos(),
-                rungs: encode_rungs(&rungs_climbed),
-            });
+                rung_costs: result.rung_costs,
+            };
+            let (grew, improved) = state.observe(hw_sample, hw, &checkpoint, result.plans)?;
+            if grew {
+                sample_obs.emit_with(|| Event::ParetoUpdated {
+                    frontier_len: state.frontier.len() as u64,
+                });
+            }
+            if improved {
+                sample_obs.emit_with(|| Event::BestImproved {
+                    cost: checkpoint.cost,
+                });
+            }
+            // Checkpoint at the sample boundary and flush, so a killed
+            // process loses at most the in-flight sample.
+            sample_obs.emit_with(|| checkpoint.to_event());
             self.observer.flush();
         }
 
-        let hw_history = hw_search.history().to_vec();
+        let best_cost = state.best.as_ref().map_or(f64::INFINITY, |(_, _, c, _)| *c);
+        let hw_history = state.hw_search.history().to_vec();
         let trace = Trace::from_costs(&hw_history);
         // The hardware searcher times its own fit/acquisition split; fold
         // it into the engine's phase accounting before the snapshot. These
         // are sub-phases of `hw_search` wall time, not additional time.
-        if let Some(timers) = hw_search.surrogate_timers() {
+        if let Some(timers) = state.hw_search.surrogate_timers() {
             self.engine.add_phase_wall("surrogate_fit", timers.fit);
             self.engine
                 .add_phase_wall("acquisition", timers.acquisition);
@@ -1486,54 +1499,43 @@ impl Spotlight {
                 .emit_with(|| Event::PhaseTiming { phase, wall_ms });
         }
         self.observer.emit_with(|| Event::RunFinished {
-            best_cost: best.as_ref().map_or(f64::INFINITY, |(_, _, c, _)| *c),
+            best_cost,
             evaluations,
             wall_ms: run_start.elapsed().as_millis() as u64,
             status: status.as_str().to_string(),
         });
         self.observer.flush();
-        let outcome = match best {
-            Some((hw, plans, cost, stream)) => {
-                let plans = match plans {
-                    Some(plans) => plans,
-                    // The winner sits in the replayed prefix: re-run its
-                    // software search (same seed, same stream, same
-                    // deterministic engine semantics) to rebuild the
-                    // plans. This happens after the stats snapshot and
-                    // journals nothing, so it leaves no trace in the
-                    // reported run.
-                    None => {
-                        self.optimize_software_with(&Observer::null(), &hw, models, stream)
-                            .0
-                    }
-                };
-                CodesignOutcome {
-                    best_hw: Some(hw),
-                    best_plans: plans,
-                    best_cost: cost,
-                    hw_history,
-                    trace,
-                    evaluations,
-                    eval_trace,
-                    frontier,
-                    stats,
-                    status,
-                }
-            }
-            None => CodesignOutcome {
-                best_hw: None,
-                best_plans: Vec::new(),
-                best_cost: f64::INFINITY,
-                hw_history,
-                trace,
-                evaluations,
-                eval_trace,
-                frontier,
-                stats,
-                status,
-            },
+        let (best_hw, best_plans) = match state.best {
+            // A replayed winner has no plans: re-run its software search
+            // (same seed, same stream, same engine semantics), climbing
+            // every rung again, as cheap measurements advance the per-key
+            // noise and fault schedules the full rung sees. Empty
+            // histories promote every finite cost, as the winner's were.
+            // This follows the stats snapshot and journals nothing.
+            Some((hw, plans, _, stream)) => (
+                Some(hw),
+                plans.unwrap_or_else(|| {
+                    let histories = vec![Vec::new(); state.rung_histories.len()];
+                    let fidelity = state.fidelity.as_ref();
+                    self.search_sample(fidelity, models, &hw, stream, &histories, &Observer::null())
+                        .plans
+                        .expect("the winner reached the full rung")
+                }),
+            ),
+            None => (None, Vec::new()),
         };
-        Ok(SliceOutcome::Finished(Box::new(outcome)))
+        Ok(SliceOutcome::Finished(Box::new(CodesignOutcome {
+            best_hw,
+            best_plans,
+            best_cost,
+            hw_history,
+            trace,
+            evaluations,
+            eval_trace: state.eval_trace,
+            frontier: state.frontier,
+            stats,
+            status,
+        })))
     }
 }
 
@@ -1775,41 +1777,43 @@ mod fault_tests {
             let (full, records) = journaled_run(cfg);
             let checkpoints: Vec<_> = records
                 .iter()
+                .filter(|r| matches!(r.event, Event::Checkpoint { .. }))
+                .collect();
+            let replay: Vec<_> = checkpoints
+                .iter()
                 .filter_map(|r| SampleCheckpoint::from_event(&r.event))
                 .collect();
-            // Resume from a mid-run kill (3 of 8 samples survived).
-            let resumed = Spotlight::new(cfg)
-                .resume(&[tiny_model()], &checkpoints[..3])
-                .expect("replay matches the recorded run");
-            assert_eq!(resumed.best_cost.to_bits(), full.best_cost.to_bits());
-            assert_eq!(resumed.best_hw, full.best_hw);
-            assert_eq!(resumed.best_plans, full.best_plans);
-            assert_eq!(resumed.hw_history, full.hw_history);
-            assert_eq!(resumed.eval_trace, full.eval_trace);
-            assert_eq!(resumed.frontier.points(), full.frontier.points());
-            assert_eq!(resumed.evaluations, full.evaluations);
-            assert_eq!(resumed.status, full.status);
-            assert_eq!(resumed.stats.sw_searches, full.stats.sw_searches);
-            assert_eq!(resumed.stats.infeasible, full.stats.infeasible);
+            // Every kill point: before the first checkpoint, between any
+            // two, and after the last, where everything is replayed and
+            // the winner's plans must be recomputed bit-identically.
+            for cut in 0..=replay.len() {
+                let (resumed, tail) = {
+                    let sink = Arc::new(spotlight_obs::MemorySink::new());
+                    let out = Spotlight::new(cfg)
+                        .with_observer(Observer::new(sink.clone()))
+                        .resume(&[tiny_model()], &replay[..cut])
+                        .expect("replay matches the recorded run");
+                    (out, sink.records())
+                };
+                assert_eq!(resumed.best_cost.to_bits(), full.best_cost.to_bits());
+                assert_eq!(resumed.best_hw, full.best_hw, "cut {cut}");
+                assert_eq!(resumed.best_plans, full.best_plans, "cut {cut}");
+                assert_eq!(resumed.hw_history, full.hw_history, "cut {cut}");
+                assert_eq!(resumed.eval_trace, full.eval_trace, "cut {cut}");
+                assert_eq!(resumed.frontier.points(), full.frontier.points());
+                assert_eq!(resumed.evaluations, full.evaluations, "cut {cut}");
+                assert_eq!(resumed.status, full.status, "cut {cut}");
+                assert_eq!(resumed.stats.sw_searches, full.stats.sw_searches);
+                assert_eq!(resumed.stats.infeasible, full.stats.infeasible);
+                // The live tail journals exactly the checkpoints the
+                // uninterrupted run wrote past the cut.
+                let resumed_checkpoints: Vec<_> = tail
+                    .iter()
+                    .filter(|r| matches!(r.event, Event::Checkpoint { .. }))
+                    .collect();
+                assert_eq!(resumed_checkpoints, checkpoints[cut..], "cut {cut}");
+            }
         }
-    }
-
-    #[test]
-    fn resume_from_the_final_checkpoint_recomputes_best_plans() {
-        let cfg = config(1);
-        let (full, records) = journaled_run(cfg);
-        let checkpoints: Vec<_> = records
-            .iter()
-            .filter_map(|r| SampleCheckpoint::from_event(&r.event))
-            .collect();
-        // Everything replayed, nothing live: the best sample is in the
-        // prefix and its plans must be recomputed bit-identically.
-        let resumed = Spotlight::new(cfg)
-            .resume(&[tiny_model()], &checkpoints)
-            .expect("full replay");
-        assert_eq!(resumed.best_cost.to_bits(), full.best_cost.to_bits());
-        assert_eq!(resumed.best_plans, full.best_plans);
-        assert_eq!(resumed.evaluations, full.evaluations);
     }
 
     #[test]

@@ -1,21 +1,24 @@
 //! Multi-fidelity integration tests: successive-halving promotion is
 //! thread-invariant (decisions and journal alike), the fidelity-keyed
-//! memo cache never aliases cheap and full reports, a ladder run
-//! resumes through a promotion rung boundary bit-identically, and the
-//! proxy ladder's evaluation saving is pinned exactly.
+//! memo cache never aliases cheap and full reports, a ladder run in
+//! every mode resumes through a promotion rung boundary bit-identically
+//! (and refuses a checkpoint listing more rungs than its ladder has),
+//! and the proxy ladder's evaluation saving is pinned exactly.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use spotlight_repro::accel::{DataflowStyle, HardwareConfig};
 use spotlight_repro::conv::ConvLayer;
-use spotlight_repro::eval::{Aggregation, EvalEngine, Fidelity, FidelitySpec, RobustPolicy};
+use spotlight_repro::eval::{
+    Aggregation, EvalEngine, Fidelity, FidelityMode, FidelitySpec, RobustPolicy,
+};
 use spotlight_repro::models::Model;
 use spotlight_repro::obs::{Event, MemorySink, Observer, Record};
 use spotlight_repro::space::dataflows::dataflow_schedule;
 use spotlight_repro::space::Schedule;
 use spotlight_repro::spotlight::codesign::{
-    CodesignConfig, CodesignOutcome, SampleCheckpoint, Spotlight,
+    CodesignConfig, CodesignOutcome, ResumeError, SampleCheckpoint, Spotlight,
 };
 
 fn triple() -> (HardwareConfig, Schedule, ConvLayer) {
@@ -60,12 +63,29 @@ fn config(threads: usize, seed: u64) -> CodesignConfig {
         .expect("test config is valid")
 }
 
+/// A maestro engine climbing the ladder `spec`. A replicate ladder
+/// measures under the seeded noise and 5-replicate median that
+/// `cache_never_aliases_cheap_and_full_reports` uses, so its cheap rungs
+/// really are noisier than its full one.
 fn ladder_engine(spec: &str) -> EvalEngine {
-    EvalEngine::builder()
-        .backend("maestro")
-        .fidelity(Some(spec.parse::<FidelitySpec>().expect("valid spec")))
+    let spec = spec.parse::<FidelitySpec>().expect("valid spec");
+    let mut builder = EvalEngine::builder().backend("maestro");
+    if spec.mode == FidelityMode::Replicate {
+        builder = builder
+            .noise(Some("seed=7,model=gauss,sigma=0.1".parse().expect("spec")))
+            .robust(RobustPolicy::replicated(5, Aggregation::Median));
+    }
+    builder
+        .fidelity(Some(spec))
         .build()
-        .expect("maestro backend exists")
+        .expect("valid combination")
+}
+
+fn checkpoints(records: &[Record]) -> Vec<SampleCheckpoint> {
+    records
+        .iter()
+        .filter_map(|r| SampleCheckpoint::from_event(&r.event))
+        .collect()
 }
 
 fn ladder_run(spec: &str, threads: usize, seed: u64) -> (CodesignOutcome, Vec<Record>) {
@@ -227,34 +247,54 @@ fn cache_never_aliases_cheap_and_full_reports() {
 
 /// A ladder run killed between checkpoints resumes to the identical
 /// outcome, with the promotion rung histories rebuilt from the
-/// journal's checkpointed per-rung costs. The kill point (after 3 of 8
-/// samples) sits inside the promotion history: later samples' quotas
+/// journal's checkpointed per-rung costs, in each ladder mode. The kill
+/// points sit inside the promotion history: later samples' quotas
 /// depend on the replayed rung costs, so any drift would change their
-/// decisions.
+/// decisions. At seed 3 every mode both promotes and demotes, so none
+/// passes vacuously; the cut at 8 replays everything, so the winner's
+/// plans are recomputed by climbing its rungs again.
 #[test]
 fn resume_through_a_rung_boundary_is_bit_identical() {
-    let (full, records) = ladder_run(LADDER, 1, 3);
-    let checkpoints: Vec<SampleCheckpoint> = records
-        .iter()
-        .filter_map(|r| SampleCheckpoint::from_event(&r.event))
-        .collect();
+    for spec in [
+        LADDER,
+        "fidelity=replicate:0.2,rungs=3",
+        "fidelity=backend:timeloop,rungs=2,eta=2",
+    ] {
+        resumes_through_rung_boundaries(spec, 3);
+    }
+}
+
+fn resumes_through_rung_boundaries(spec: &str, seed: u64) {
+    let (full, records) = ladder_run(spec, 1, seed);
+    let decisions = promotion_decisions(&records);
+    assert!(decisions.iter().any(|d| d.1), "{spec}: no promotion");
+    assert!(decisions.iter().any(|d| !d.1), "{spec}: no demotion");
+    let checkpoints = checkpoints(&records);
     assert_eq!(checkpoints.len(), 8);
     assert!(
         checkpoints.iter().any(|c| !c.rung_costs.is_empty()),
-        "ladder checkpoints must carry their rung costs"
+        "{spec}: ladder checkpoints must carry their rung costs"
     );
 
-    for cut in [1usize, 3, 7] {
+    for cut in [1usize, 3, 7, 8] {
         let sink = Arc::new(MemorySink::new());
-        let resumed = Spotlight::with_engine(config(1, 3), ladder_engine(LADDER))
+        let resumed = Spotlight::with_engine(config(1, seed), ladder_engine(spec))
             .with_observer(Observer::new(sink.clone()))
             .resume(&[tiny_model()], &checkpoints[..cut])
             .expect("recorded prefix replays");
-        assert_eq!(resumed.best_cost.to_bits(), full.best_cost.to_bits());
-        assert_eq!(resumed.best_hw, full.best_hw);
-        assert_eq!(resumed.best_plans, full.best_plans);
-        assert_eq!(resumed.frontier.points(), full.frontier.points());
-        assert_eq!(resumed.evaluations, full.evaluations);
+        let at = format!("{spec}: cut at {cut}");
+        assert_eq!(
+            resumed.best_cost.to_bits(),
+            full.best_cost.to_bits(),
+            "{at}"
+        );
+        assert_eq!(resumed.best_hw, full.best_hw, "{at}");
+        assert!(
+            resumed.best_plans == full.best_plans,
+            "{at}: best plans differ"
+        );
+        assert_eq!(resumed.frontier.points(), full.frontier.points(), "{at}");
+        assert_eq!(resumed.evaluations, full.evaluations, "{at}");
         // The live tail makes the same promotion decisions the
         // uninterrupted run made past the cut.
         let live: Vec<_> = promotion_decisions(&sink.records());
@@ -262,8 +302,36 @@ fn resume_through_a_rung_boundary_is_bit_identical() {
             .into_iter()
             .filter(|(hw_sample, ..)| hw_sample.unwrap_or(0) >= cut as u64)
             .collect();
-        assert_eq!(live, original, "cut at {cut}");
+        assert_eq!(live, original, "{at}");
     }
+}
+
+/// A checkpoint listing more rung costs than the ladder has rungs (a
+/// hand-edited journal, or one from another ladder) is refused with a
+/// typed error naming the sample, instead of indexing past the rung
+/// histories during replay.
+#[test]
+fn resume_refuses_a_checkpoint_with_more_rungs_than_the_ladder() {
+    let (_, records) = ladder_run(LADDER, 1, 3);
+    let mut checkpoints = checkpoints(&records);
+    assert_eq!(
+        checkpoints[0].rung_costs.len(),
+        3,
+        "sample 0 reaches the full rung"
+    );
+    checkpoints[0].rung_costs.push(0.0);
+    let err = Spotlight::with_engine(config(1, 3), ladder_engine(LADDER))
+        .resume(&[tiny_model()], &checkpoints[..2])
+        .unwrap_err();
+    assert_eq!(
+        err,
+        ResumeError::TooManyRungs {
+            sample: 0,
+            rungs: 4,
+            configured: 3
+        }
+    );
+    assert!(err.to_string().contains("4 fidelity rungs"), "{err}");
 }
 
 proptest! {
