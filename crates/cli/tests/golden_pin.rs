@@ -177,6 +177,46 @@ fn robust_sim_run_reproduces_its_golden_report() {
 }
 
 #[test]
+fn faulted_run_reproduces_its_golden_report() {
+    // Seeded worker panics: the fault schedule decides which backend
+    // calls panic and are retried, so this pins every injected fault
+    // end to end (the same invocation as CI's fault-injection smoke).
+    let dir = std::env::temp_dir().join(format!("spotlight-golden-faulted-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp workdir creates");
+    let report = dir.join("faulted_report.txt");
+
+    let status = Command::new(BIN)
+        .args([
+            "codesign",
+            "--model",
+            "mobilenetv2",
+            "--hw",
+            "5",
+            "--sw",
+            "6",
+            "--seed",
+            "11",
+            "--faults",
+            "seed=5,panic=0.02",
+            "--out",
+            report.to_str().unwrap(),
+        ])
+        .status()
+        .expect("binary runs");
+    assert!(status.success());
+
+    let golden = std::fs::read_to_string(golden_dir().join("faulted_report.txt"))
+        .expect("golden faulted report exists");
+    let got = std::fs::read_to_string(&report).expect("report written");
+    assert_eq!(
+        got, golden,
+        "faulted report must be byte-identical to its golden"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn golden_report_still_contains_the_pinned_result() {
     // Belt and braces: the golden file itself must carry the expected
     // search result, so a regeneration that changed the outcome (rather
