@@ -84,9 +84,9 @@ mod fidelity;
 mod noise;
 mod robust;
 
-pub use fault::{key_fingerprint, FaultDecision, FaultInjectingBackend, FaultPlan, FaultPlanError};
-pub use fidelity::{Fidelity, FidelityMode, FidelitySpec, FidelitySpecError};
-pub use noise::{NoiseModel, NoisePlan, NoisePlanError, NoisyBackend};
+pub use fault::{key_fingerprint, FaultDecision, FaultInjectingBackend, FaultPlan};
+pub use fidelity::{Fidelity, FidelityMode, FidelitySpec};
+pub use noise::{NoiseModel, NoisePlan, NoisyBackend};
 pub use robust::{
     mad, median, outlier_flags, relative_dispersion, trimmed_mean, Aggregation, AggregationError,
     ReplicateSummary, RobustPolicy, MAD_SCALE,

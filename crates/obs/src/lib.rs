@@ -47,11 +47,12 @@ mod event;
 pub mod io;
 mod journal;
 pub mod json;
+pub mod seeded;
 mod sink;
 
 pub use crc::{check_line, crc32c, frame_line, LineIntegrity, INTEGRITY_CRC32C};
 pub use event::{Event, Record, RunManifest, EVENT_KINDS};
-pub use io::{DiskFaultError, DiskFaultPlan, FaultFs, RealFs, StoreIo};
+pub use io::{DiskFaultPlan, FaultFs, RealFs, StoreIo};
 pub use journal::{
     parse_journal, parse_journal_tolerant, parse_journal_tolerant_bytes, read_journal,
     read_journal_tolerant, CorruptRecord, JournalError, JournalWriter, ParsedJournal,

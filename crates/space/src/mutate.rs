@@ -106,9 +106,7 @@ pub fn mutate_schedule<R: Rng + ?Sized>(rng: &mut R, s: &Schedule, layer: &ConvL
             let i = rng.gen_range(0..NUM_DIMS);
             let mut l2 = std::array::from_fn(|j| s.tiles().l2(DIMS[j]));
             let mut rf = std::array::from_fn(|j| s.tiles().rf(DIMS[j]));
-            let e = layer.extent(DIMS[i]);
-            l2[i] = *divisors(e).choose(rng).expect("extent > 0");
-            rf[i] = *divisors(l2[i]).choose(rng).expect("tile > 0");
+            (l2[i], rf[i]) = sample::redraw_chain(rng, layer, DIMS[i]);
             let tiles = TileSizes::new(layer, l2, rf).expect("redrawn chain is legal");
             s.with_tiles(tiles)
         }

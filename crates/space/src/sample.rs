@@ -46,15 +46,22 @@ pub fn sample_hw<R: Rng + ?Sized>(rng: &mut R, ranges: &ParamRanges) -> Hardware
         .expect("sampled width divides sampled PE count")
 }
 
-/// Draws a uniform legal tiling for `layer`: per dimension, a uniform
-/// divisor `l2 | extent` then a uniform divisor `rf | l2`.
+/// Draws a uniform legal divisor chain `(l2, rf)` for `dim` of `layer`:
+/// a uniform divisor `l2 | extent`, then a uniform divisor `rf | l2`.
+/// Every tiling sampler and mutator redraws a dimension through this.
+pub fn redraw_chain<R: Rng + ?Sized>(rng: &mut R, layer: &ConvLayer, dim: Dim) -> (u64, u64) {
+    let l2 = *divisors(layer.extent(dim)).choose(rng).expect("extent > 0");
+    let rf = *divisors(l2).choose(rng).expect("tile > 0");
+    (l2, rf)
+}
+
+/// Draws a uniform legal tiling for `layer`: per dimension, a
+/// [`redraw_chain`].
 pub fn sample_tiles<R: Rng + ?Sized>(rng: &mut R, layer: &ConvLayer) -> TileSizes {
     let mut l2 = [1u64; NUM_DIMS];
     let mut rf = [1u64; NUM_DIMS];
     for (i, d) in DIMS.iter().enumerate() {
-        let e = layer.extent(*d);
-        l2[i] = *divisors(e).choose(rng).expect("extent > 0");
-        rf[i] = *divisors(l2[i]).choose(rng).expect("tile > 0");
+        (l2[i], rf[i]) = redraw_chain(rng, layer, *d);
     }
     TileSizes::new(layer, l2, rf).expect("sampled chains are legal by construction")
 }

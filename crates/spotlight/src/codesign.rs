@@ -17,6 +17,7 @@ use spotlight_dabo::{Search, Trace};
 use spotlight_eval::{EvalEngine, EvalStats, Fidelity, FidelityMode, FidelitySpec, RobustPolicy};
 use spotlight_maestro::{CostReport, Objective};
 use spotlight_models::{Model, ModelId};
+use spotlight_obs::seeded::{finalize, GAMMA};
 use spotlight_obs::{Event, Observer, RunManifest};
 use spotlight_space::{ParamRanges, Schedule};
 
@@ -797,22 +798,15 @@ impl LoopState {
     }
 }
 
-/// SplitMix64 finalizer: a bijective avalanche mix.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Derives the RNG seed for one layer's software search from the run
 /// seed, the hardware-sample stream, and the layer's ordinal within the
 /// flattened `(model, layer)` work list. Each search therefore owns an
 /// independent ChaCha8 stream, which is what makes the parallel
 /// layerwise search bit-reproducible at any thread count.
 pub fn layer_stream_seed(seed: u64, stream: u64, layer_ordinal: u64) -> u64 {
-    let z = mix64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let z = mix64(z.wrapping_add(stream));
-    mix64(z.wrapping_add(layer_ordinal))
+    let z = finalize(seed ^ GAMMA);
+    let z = finalize(z.wrapping_add(stream));
+    finalize(z.wrapping_add(layer_ordinal))
 }
 
 /// The Spotlight co-design tool (Figure 5): accepts a hardware budget and
@@ -1237,13 +1231,18 @@ impl Spotlight {
     /// and nested across rungs (promotion only adds layers).
     fn proxy_subset(&self, spec: &FidelitySpec, models: &[Model], rung: u8) -> Vec<usize> {
         let fraction = spec.fraction_at(rung);
-        let key_base = mix64(self.config.seed ^ 0x0070_726f_7879); // "proxy"
+        let key_base = finalize(self.config.seed ^ 0x0070_726f_7879); // "proxy"
         let mut subset = Vec::new();
         let mut base_ordinal = 0;
         for model in models {
             let entries = model.layers();
             let mut order: Vec<usize> = (0..entries.len()).collect();
-            order.sort_by_key(|&i| (mix64(key_base.wrapping_add((base_ordinal + i) as u64)), i));
+            order.sort_by_key(|&i| {
+                (
+                    finalize(key_base.wrapping_add((base_ordinal + i) as u64)),
+                    i,
+                )
+            });
             let total: f64 = entries
                 .iter()
                 .map(|e| e.layer.macs() as f64 * e.count as f64)

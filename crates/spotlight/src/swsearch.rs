@@ -4,7 +4,6 @@ use rand::seq::SliceRandom;
 use rand::RngCore;
 
 use spotlight_accel::{DataflowStyle, HardwareConfig};
-use spotlight_conv::factor::divisors;
 use spotlight_conv::{ConvLayer, Dim, DIMS, NUM_DIMS};
 use spotlight_dabo::{Dabo, DaboConfig, FnFeatureMap, Search, SurrogateKind, Trace};
 use spotlight_eval::{EvalEngine, Fidelity};
@@ -173,9 +172,7 @@ fn randomize_dims(
     let mut l2: [u64; NUM_DIMS] = std::array::from_fn(|i| base.tiles().l2(DIMS[i]));
     let mut rf: [u64; NUM_DIMS] = std::array::from_fn(|i| base.tiles().rf(DIMS[i]));
     for &d in dims {
-        let i = d.index();
-        l2[i] = *divisors(layer.extent(d)).choose(rng).expect("extent > 0");
-        rf[i] = *divisors(l2[i]).choose(rng).expect("tile > 0");
+        (l2[d.index()], rf[d.index()]) = sample::redraw_chain(rng, layer, d);
     }
     let tiles = TileSizes::new(layer, l2, rf).expect("redrawn chains are legal");
     base.with_tiles(tiles)
