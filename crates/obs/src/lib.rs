@@ -54,9 +54,8 @@ pub use crc::{check_line, crc32c, frame_line, LineIntegrity, INTEGRITY_CRC32C};
 pub use event::{Event, Record, RunManifest, EVENT_KINDS};
 pub use io::{DiskFaultPlan, FaultFs, RealFs, StoreIo};
 pub use journal::{
-    parse_journal, parse_journal_tolerant, parse_journal_tolerant_bytes, read_journal,
-    read_journal_tolerant, CorruptRecord, JournalError, JournalWriter, ParsedJournal,
-    TruncatedTail,
+    parse_journal_tolerant_bytes, read_journal_tolerant, CorruptRecord, FramedLine, FramedLines,
+    JournalError, JournalWriter, LineScan, ParsedJournal, TruncatedTail,
 };
 pub use sink::{EventSink, MemorySink, MultiSink, NullSink, ProgressSink};
 

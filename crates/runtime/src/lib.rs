@@ -56,4 +56,4 @@ pub use serve::{
     bind, run_client, run_client_with_retry, serve_loop, Listener, ReconnectPolicy, ServeOptions,
 };
 pub use spec::{parse_variant, resolve_model, RunSpec, SpecError};
-pub use store::{fold_wal, JobStore, PersistedJob, StoreError, WalFold};
+pub use store::{fold_wal, JobStore, StoreError, WalFold};

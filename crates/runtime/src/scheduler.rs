@@ -34,7 +34,7 @@ use crate::job::{Job, JobId, JobState, JobStatus};
 use crate::metrics::{render_metrics, ServerCounters};
 use crate::runner::{advance_job, RuntimeError, SliceProgress, JOURNAL_INTEGRITY_PREFIX};
 use crate::spec::RunSpec;
-use crate::store::{JobStore, StoreError};
+use crate::store::{job_dir, JobStore, StoreError};
 
 /// Scheduler shape: pool size, slice length, and the state directory.
 #[derive(Debug, Clone)]
@@ -205,8 +205,8 @@ impl Server {
         let mut recovered = 0u64;
         let mut quarantined = 0u64;
         for (id, loaded) in store.load_all()? {
-            let p = match loaded {
-                Ok(p) => p,
+            let mut job = match loaded {
+                Ok(job) => job,
                 Err(e) => {
                     // Quarantine: mark the WAL (so the diagnosis
                     // survives the next restart), surface the job as
@@ -214,14 +214,13 @@ impl Server {
                     let reason = e.to_string();
                     eprintln!("spotlight-serve: quarantining job {id}: {reason}");
                     note_store(store.record_corrupt(id, &reason));
-                    let dir = opts.dir.join("jobs").join(format!("job-{id:06}"));
                     jobs.insert(
                         id,
                         Job {
                             id,
                             spec: RunSpec::default(),
                             key: None,
-                            journal: dir.join("journal.jsonl"),
+                            journal: job_dir(&opts.dir, id).join("journal.jsonl"),
                             state: JobState::Corrupt,
                             slices: 0,
                             samples_done: 0,
@@ -234,19 +233,6 @@ impl Server {
                     quarantined += 1;
                     continue;
                 }
-            };
-            let mut job = Job {
-                id: p.id,
-                spec: p.spec,
-                key: p.key,
-                journal: p.journal,
-                state: p.state,
-                slices: p.slices,
-                samples_done: p.samples_done,
-                cancel_requested: p.cancel_requested,
-                report: p.report,
-                best_cost: p.best_cost,
-                error: p.error,
             };
             if job.state == JobState::Corrupt {
                 // Quarantined on an earlier restart; still counts as

@@ -22,11 +22,11 @@
 //! only appended after `report.txt` is durably on disk, so a crash
 //! between the two replays the job's journal — the same
 //! recompute-the-winner path a worker death takes — and regenerates the
-//! byte-identical report. Any job whose last WAL state is non-terminal
-//! (`queued` or `running`) is re-enqueued by [`JobStore::load_all`]'s
-//! caller; its journal ends at the last flushed checkpoint, exactly like
-//! a killed one-shot run's, and resumes through the tolerant-parse /
-//! scar-truncate path.
+//! byte-identical report. [`JobStore::load_all`] rebuilds every
+//! [`Job`] from its files; its caller re-enqueues any job whose last WAL
+//! state is non-terminal (`queued` or `running`). Such a job's journal
+//! ends at the last flushed checkpoint, exactly like a killed one-shot
+//! run's, and resumes through the tolerant-parse / scar-truncate path.
 //!
 //! The lock file makes the store single-writer: a second daemon pointed
 //! at the same state directory refuses to start while the first's pid is
@@ -41,22 +41,30 @@
 //! are CRC32C-framed (see [`spotlight_obs::crc`]), with the first line
 //! carrying the `integrity` marker so the file declares its own
 //! discipline; pre-CRC WALs still fold. [`fold_wal`] localizes damage
-//! to individual [`CorruptRecord`]s instead of rejecting the file, and
-//! a job whose fold ends in verified corruption — or whose journal
-//! fails verification while the job is still runnable — loads as an
-//! error the scheduler turns into a quarantined `corrupt` state.
+//! to individual [`CorruptRecord`]s instead of rejecting the file.
+//!
+//! Restart recovery and `spotlight fsck` read a job through one scan
+//! (spec record, WAL fold, journal, report) and differ only in policy.
+//! Recovery first truncates a torn WAL tail, so the next append cannot
+//! fuse onto the scar; then a job whose fold ends in verified corruption
+//! — or whose journal fails verification while the job is still
+//! runnable — loads as an error the scheduler turns into a quarantined
+//! `corrupt` state. `fsck` reports every finding instead (see
+//! [`crate::fsck`]).
 
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use spotlight_obs::crc::{check_line, claims_framing, frame_line, LineIntegrity, INTEGRITY_CRC32C};
+use spotlight_obs::crc::{frame_line, INTEGRITY_CRC32C};
 use spotlight_obs::io::StoreIo;
 use spotlight_obs::json::{parse_flat_object, Fields, JsonObj};
-use spotlight_obs::{parse_journal_tolerant_bytes, CorruptRecord, RealFs};
+use spotlight_obs::{
+    parse_journal_tolerant_bytes, CorruptRecord, FramedLines, JournalError, ParsedJournal, RealFs,
+};
 
-use crate::job::{JobId, JobState};
+use crate::job::{Job, JobId, JobState};
 use crate::spec::RunSpec;
 
 /// A job-store failure, with a user-facing message.
@@ -108,35 +116,6 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// One job as the store persists it, returned by [`JobStore::load_all`]
-/// for startup recovery.
-#[derive(Debug, Clone)]
-pub struct PersistedJob {
-    /// Store-assigned monotonic identifier.
-    pub id: JobId,
-    /// The validated run description, re-parsed from the canonical spec
-    /// string through the normal submit path.
-    pub spec: RunSpec,
-    /// Client-supplied idempotency key, if any.
-    pub key: Option<String>,
-    /// The last WAL state.
-    pub state: JobState,
-    /// Whether a cancel request was recorded before the crash.
-    pub cancel_requested: bool,
-    /// Scheduler slices recorded by the last WAL line.
-    pub slices: u64,
-    /// Hardware samples recorded by the last WAL line.
-    pub samples_done: u64,
-    /// Best aggregate cost (completed jobs).
-    pub best_cost: Option<f64>,
-    /// Terminal error message (failed jobs).
-    pub error: Option<String>,
-    /// The final report text (completed jobs).
-    pub report: Option<String>,
-    /// The job's journal path inside the store.
-    pub journal: PathBuf,
-}
-
 /// The single-writer durable job store. Owns the state-directory lock
 /// for its lifetime; dropping the store releases the lock.
 #[derive(Debug)]
@@ -177,13 +156,10 @@ impl JobStore {
             keys: HashMap::new(),
             io,
         };
-        for entry in std::fs::read_dir(store.root.join("jobs"))? {
-            let entry = entry?;
-            let Some(id) = parse_job_dir(&entry.file_name().to_string_lossy()) else {
-                continue;
-            };
-            store.next_id = store.next_id.max(id + 1);
-            if let Ok(fields) = read_spec_record(&entry.path()) {
+        for id in job_ids(root)? {
+            // Ids arrive sorted: the last one fixes the next id.
+            store.next_id = id + 1;
+            if let Ok(fields) = read_spec_record(store.io.as_ref(), &job_dir(root, id)) {
                 if let Ok(Some(key)) = fields.opt_str("key") {
                     store.keys.insert(key, id);
                 }
@@ -223,7 +199,7 @@ impl JobStore {
         key: Option<&str>,
     ) -> Result<(JobId, PathBuf), StoreError> {
         let id = self.next_id;
-        let dir = self.job_dir(id);
+        let dir = job_dir(&self.root, id);
         std::fs::create_dir_all(&dir)?;
         let mut rec = JsonObj::typed("job");
         rec.push_u64("id", id);
@@ -231,7 +207,7 @@ impl JobStore {
         rec.push_str("spec", &spec.to_spec_string());
         self.io
             .write_atomic(&dir.join("spec.json"), rec.finish().as_bytes())?;
-        self.append_wal(&dir, |o| {
+        append_wal(self.io.as_ref(), &dir, |o| {
             o.push_str("state", JobState::Queued.as_str());
             // The first line declares the WAL's framing discipline, so
             // a flip that erases a later line's frame is still caught.
@@ -258,7 +234,7 @@ impl JobStore {
         slices: u64,
         samples_done: u64,
     ) -> Result<(), StoreError> {
-        self.append_wal(&self.job_dir(id), |o| {
+        self.append(id, |o| {
             o.push_str("state", state.as_str());
             o.push_u64("slices", slices);
             o.push_u64("samples", samples_done);
@@ -273,7 +249,7 @@ impl JobStore {
     ///
     /// Propagates I/O failures.
     pub fn record_cancel_requested(&self, id: JobId) -> Result<(), StoreError> {
-        self.append_wal(&self.job_dir(id), |o| {
+        self.append(id, |o| {
             o.push_bool("cancel_requested", true);
         })
     }
@@ -293,10 +269,11 @@ impl JobStore {
         slices: u64,
         samples_done: u64,
     ) -> Result<(), StoreError> {
-        let dir = self.job_dir(id);
-        self.io
-            .write_atomic(&dir.join("report.txt"), report.as_bytes())?;
-        self.append_wal(&dir, |o| {
+        self.io.write_atomic(
+            &job_dir(&self.root, id).join("report.txt"),
+            report.as_bytes(),
+        )?;
+        self.append(id, |o| {
             o.push_str("state", JobState::Completed.as_str());
             o.push_u64("slices", slices);
             o.push_u64("samples", samples_done);
@@ -310,7 +287,7 @@ impl JobStore {
     ///
     /// Propagates I/O failures.
     pub fn record_failed(&self, id: JobId, error: &str, slices: u64) -> Result<(), StoreError> {
-        self.append_wal(&self.job_dir(id), |o| {
+        self.append(id, |o| {
             o.push_str("state", JobState::Failed.as_str());
             o.push_u64("slices", slices);
             o.push_str("error", error);
@@ -327,7 +304,7 @@ impl JobStore {
     /// Propagates I/O failures. The caller treats a failed marker write
     /// as in-memory-only quarantine (the next restart re-diagnoses).
     pub fn record_corrupt(&self, id: JobId, reason: &str) -> Result<(), StoreError> {
-        self.append_wal(&self.job_dir(id), |o| {
+        self.append(id, |o| {
             o.push_str("state", JobState::Corrupt.as_str());
             o.push_str("error", reason);
         })
@@ -336,109 +313,127 @@ impl JobStore {
     /// Loads every persisted job for startup recovery, in id order.
     /// Records that fail verification are reported alongside their id,
     /// not silently skipped — the caller (the scheduler) quarantines
-    /// them while everything else recovers.
+    /// them while everything else recovers. A torn final WAL line is
+    /// truncated away first, so the caller's next append starts a
+    /// fresh line.
     ///
     /// # Errors
     ///
     /// Propagates directory-scan I/O failures; per-job corruption is
     /// returned in the `Err` side of each element.
     #[allow(clippy::type_complexity)]
-    pub fn load_all(&self) -> Result<Vec<(JobId, Result<PersistedJob, StoreError>)>, StoreError> {
-        let mut ids: Vec<JobId> = Vec::new();
-        for entry in std::fs::read_dir(self.root.join("jobs"))? {
-            if let Some(id) = parse_job_dir(&entry?.file_name().to_string_lossy()) {
-                ids.push(id);
-            }
-        }
-        ids.sort_unstable();
-        Ok(ids.into_iter().map(|id| (id, self.load_one(id))).collect())
+    pub fn load_all(&self) -> Result<Vec<(JobId, Result<Job, StoreError>)>, StoreError> {
+        Ok(job_ids(&self.root)?
+            .into_iter()
+            .map(|id| (id, self.load_one(id)))
+            .collect())
     }
 
-    fn load_one(&self, id: JobId) -> Result<PersistedJob, StoreError> {
-        let dir = self.job_dir(id);
-        let fields = read_spec_record(&dir)?;
-        let spec_str = fields
-            .str("spec")
-            .map_err(|e| StoreError::Corrupt(format!("job {id}: {e}")))?;
-        let spec = RunSpec::parse_str(&spec_str)
-            .map_err(|e| StoreError::Corrupt(format!("job {id}: spec re-parse failed: {e}")))?;
-        let key = match fields
-            .str("key")
-            .map_err(|e| StoreError::Corrupt(format!("job {id}: {e}")))?
-        {
-            k if k.is_empty() => None,
-            k => Some(k),
-        };
-
-        let wal = self.io.read(&dir.join("wal.jsonl")).unwrap_or_default();
-        let fold = fold_wal(&wal);
+    /// Recovery's policy over a [`JobScan`]: heal a torn WAL tail, then
+    /// fail on the first finding, checking the journal only for a
+    /// runnable job.
+    fn load_one(&self, id: JobId) -> Result<Job, StoreError> {
+        let dir = job_dir(&self.root, id);
+        let scan = JobScan::read(self.io.as_ref(), &dir, false);
+        // The caller's next transition (or quarantine marker) appends
+        // to this WAL; left in place, a torn tail would fuse with it
+        // into one line that fails its checksum on the next restart.
+        if scan.wal.torn_tail.is_some() {
+            self.io
+                .set_len(&dir.join("wal.jsonl"), scan.wal.valid_bytes)?;
+        }
+        let corrupt = |what: String| StoreError::Corrupt(format!("job {id}: {what}"));
+        let fields = scan.record?;
+        let spec = spec_of(&fields).map_err(corrupt)?;
+        let key = Some(fields.str("key").map_err(corrupt)?).filter(|k| !k.is_empty());
+        let fold = scan.wal;
         // A trailing `corrupt` marker wins over the damage it records:
         // the job was already quarantined, and reloading it as terminal
         // `Corrupt` is what makes quarantine idempotent. Unmarked
         // corruption is an error the caller quarantines now.
         if fold.state != JobState::Corrupt {
             if let Some(c) = fold.corrupt.first() {
-                return Err(StoreError::Corrupt(format!("job {id}: WAL {c}")));
+                return Err(corrupt(format!("WAL {c}")));
             }
         }
         // A runnable job is about to have its journal replayed; verify
         // it now so a rotted checkpoint quarantines the job at startup
         // instead of failing its first slice.
-        if !fold.state.is_terminal() {
-            let journal = dir.join("journal.jsonl");
-            if journal.exists() {
-                match parse_journal_tolerant_bytes(&self.io.read(&journal)?) {
-                    Ok(parsed) => {
-                        if let Some(c) = parsed.corrupt.first() {
-                            return Err(StoreError::Corrupt(format!("job {id}: journal {c}")));
-                        }
-                    }
-                    Err(e) => {
-                        return Err(StoreError::Corrupt(format!("job {id}: journal {e}")));
-                    }
-                }
+        if let Some(read) = scan.journal {
+            let parsed = read?.map_err(|e| corrupt(format!("journal {e}")))?;
+            if let Some(c) = parsed.corrupt.first() {
+                return Err(corrupt(format!("journal {c}")));
             }
         }
-        let report = if fold.state == JobState::Completed {
-            Some(
-                String::from_utf8(self.io.read(&dir.join("report.txt")).map_err(|e| {
-                    StoreError::Corrupt(format!("job {id}: completed but report unreadable: {e}"))
-                })?)
-                .map_err(|e| StoreError::Corrupt(format!("job {id}: report is not UTF-8: {e}")))?,
-            )
-        } else {
-            None
+        let report = match scan.report {
+            Some(read) => {
+                let bytes =
+                    read.map_err(|e| corrupt(format!("completed but report unreadable: {e}")))?;
+                Some(
+                    String::from_utf8(bytes)
+                        .map_err(|e| corrupt(format!("report is not UTF-8: {e}")))?,
+                )
+            }
+            None => None,
         };
-        Ok(PersistedJob {
+        Ok(Job {
             id,
             spec,
             key,
+            journal: dir.join("journal.jsonl"),
             state: fold.state,
-            cancel_requested: fold.cancel_requested,
             slices: fold.slices,
             samples_done: fold.samples_done,
+            cancel_requested: fold.cancel_requested,
+            report,
             best_cost: fold.best_cost,
             error: fold.error,
-            report,
-            journal: dir.join("journal.jsonl"),
         })
     }
 
-    fn job_dir(&self, id: JobId) -> PathBuf {
-        self.root.join("jobs").join(format!("job-{id:06}"))
+    fn append(&self, id: JobId, fill: impl FnOnce(&mut JsonObj)) -> Result<(), StoreError> {
+        append_wal(self.io.as_ref(), &job_dir(&self.root, id), fill)
     }
+}
 
-    /// Appends one CRC32C-framed WAL line (built by `fill`) durably, so
-    /// the transition is on disk before the in-memory state moves on.
-    fn append_wal(&self, dir: &Path, fill: impl FnOnce(&mut JsonObj)) -> Result<(), StoreError> {
-        let mut o = JsonObj::typed("wal");
-        fill(&mut o);
-        let mut line = frame_line(&o.finish());
-        line.push('\n');
-        self.io
-            .append_line_durable(&dir.join("wal.jsonl"), line.as_bytes())?;
-        Ok(())
+/// Everything one job directory says, read once through a [`StoreIo`]:
+/// the one integrity scan behind restart recovery and `fsck`. The scan
+/// judges nothing; each caller applies its own policy to it.
+pub(crate) struct JobScan {
+    /// The spec record's fields, or why the record cannot be read.
+    pub record: Result<Fields, StoreError>,
+    /// The folded WAL (a missing WAL folds as empty).
+    pub wal: WalFold,
+    /// The journal: `None` when absent or not asked for; the outer
+    /// result is I/O, the inner one the schema check.
+    pub journal: Option<std::io::Result<Result<ParsedJournal, JournalError>>>,
+    /// The report bytes, read only for a completed job.
+    pub report: Option<std::io::Result<Vec<u8>>>,
+}
+
+impl JobScan {
+    /// Scans the job at `dir`. The journal is read when the job is
+    /// runnable, or always with `every_journal` (a terminal job's
+    /// journal is never replayed, but `fsck` still verifies it).
+    pub fn read(io: &dyn StoreIo, dir: &Path, every_journal: bool) -> JobScan {
+        let wal = fold_wal(&io.read(&dir.join("wal.jsonl")).unwrap_or_default());
+        let journal = dir.join("journal.jsonl");
+        let journal = ((every_journal || !wal.state.is_terminal()) && journal.exists())
+            .then(|| io.read(&journal).map(|b| parse_journal_tolerant_bytes(&b)));
+        let report = (wal.state == JobState::Completed).then(|| io.read(&dir.join("report.txt")));
+        JobScan {
+            record: read_spec_record(io, dir),
+            wal,
+            journal,
+            report,
+        }
     }
+}
+
+/// The spec string of a readable record, re-parsed through the submit
+/// path.
+pub(crate) fn spec_of(fields: &Fields) -> Result<RunSpec, String> {
+    RunSpec::parse_str(&fields.str("spec")?).map_err(|e| format!("spec re-parse failed: {e}"))
 }
 
 /// The outcome of folding one WAL file: the authoritative lifecycle
@@ -472,113 +467,56 @@ pub struct WalFold {
 /// Folds WAL bytes: the *last* `state` line wins, a cancel request is
 /// sticky, a final line cut mid-write is a crash scar (skipped), and —
 /// in a framed WAL — terminated lines that fail verification become
-/// localized [`CorruptRecord`]s rather than poisoning the fold. The
-/// fold itself is total; deciding whether corruption is fatal is the
-/// caller's job (recovery quarantines, `fsck` reports).
+/// localized [`CorruptRecord`]s rather than poisoning the fold (the
+/// [`FramedLines`] walk the journal reader shares). The fold itself is
+/// total; deciding whether corruption is fatal is the caller's job
+/// (recovery quarantines, `fsck` reports).
 pub fn fold_wal(bytes: &[u8]) -> WalFold {
-    let mut fold = WalFold {
-        state: JobState::Queued,
-        cancel_requested: false,
-        slices: 0,
-        samples_done: 0,
-        best_cost: None,
-        error: None,
-        corrupt: Vec::new(),
-        torn_tail: None,
-        valid_bytes: 0,
-        checked: false,
-    };
-    let mut offset = 0u64;
-    for (idx, segment) in bytes.split_inclusive(|&b| b == b'\n').enumerate() {
-        if segment.last() != Some(&b'\n') {
-            fold.torn_tail = Some(offset);
-            break;
-        }
-        let corrupt = |reason: String, fold: &mut WalFold| {
-            fold.corrupt.push(CorruptRecord {
-                line: idx + 1,
-                offset,
-                len: segment.len() as u64,
-                reason,
-            });
-        };
-        let mut line_end = segment.len() - 1;
-        if segment[..line_end].last() == Some(&b'\r') {
-            line_end -= 1;
-        }
-        match std::str::from_utf8(&segment[..line_end]) {
-            Err(e) => corrupt(format!("invalid UTF-8 ({e})"), &mut fold),
-            Ok(line) if line.trim().is_empty() => {}
-            Ok(line) => {
-                let verdict = check_line(line);
-                let accepted = match verdict {
-                    LineIntegrity::Valid => {
-                        fold.checked = true;
-                        true
-                    }
-                    LineIntegrity::Mismatch { stored, computed } => {
-                        fold.checked = true;
-                        corrupt(
-                            format!(
-                                "checksum mismatch (stored {stored:08x}, computed {computed:08x})"
-                            ),
-                            &mut fold,
-                        );
-                        false
-                    }
-                    LineIntegrity::Unframed if fold.checked || claims_framing(line) => {
-                        fold.checked = true;
-                        corrupt(
-                            "unframed line in a checksummed WAL (damaged or stripped crc)"
-                                .to_string(),
-                            &mut fold,
-                        );
-                        false
-                    }
-                    // A pre-CRC legacy line: folded on faith.
-                    LineIntegrity::Unframed => true,
-                };
-                if accepted {
-                    match parse_flat_object(line) {
-                        Ok(parsed) => {
-                            let f = Fields(parsed);
-                            if let Ok(Some(true)) = f.opt_bool("cancel_requested") {
-                                fold.cancel_requested = true;
-                            }
-                            if let Ok(Some(name)) = f.opt_str("state") {
-                                match JobState::from_str_name(&name) {
-                                    Ok(state) => {
-                                        fold.state = state;
-                                        fold.slices = f
-                                            .opt_u64("slices")
-                                            .unwrap_or(None)
-                                            .unwrap_or(fold.slices);
-                                        fold.samples_done = f
-                                            .opt_u64("samples")
-                                            .unwrap_or(None)
-                                            .unwrap_or(fold.samples_done);
-                                        fold.best_cost = f
-                                            .opt_f64("best_cost")
-                                            .unwrap_or(None)
-                                            .filter(|c| c.is_finite());
-                                        fold.error = f
-                                            .opt_str("error")
-                                            .unwrap_or(None)
-                                            .filter(|e| !e.is_empty());
-                                    }
-                                    Err(e) => corrupt(e, &mut fold),
-                                }
-                            }
-                        }
-                        Err(e) => corrupt(format!("unparseable WAL line: {e}"), &mut fold),
-                    }
-                }
+    let mut state = JobState::Queued;
+    let (mut cancel_requested, mut slices, mut samples_done) = (false, 0, 0);
+    let (mut best_cost, mut error) = (None, None);
+    let mut lines = FramedLines::new(bytes, "WAL");
+    while let Some(line) = lines.next() {
+        let f = match parse_flat_object(line.text) {
+            Ok(parsed) => Fields(parsed),
+            Err(e) => {
+                lines.reject(&line, format!("unparseable WAL line: {e}"));
+                continue;
             }
+        };
+        if let Ok(Some(true)) = f.opt_bool("cancel_requested") {
+            cancel_requested = true;
         }
-        offset += segment.len() as u64;
-        fold.valid_bytes = offset;
+        let Ok(Some(name)) = f.opt_str("state") else {
+            continue;
+        };
+        match JobState::from_str_name(&name) {
+            Ok(s) => {
+                state = s;
+                slices = f.opt_u64("slices").unwrap_or(None).unwrap_or(slices);
+                samples_done = f.opt_u64("samples").unwrap_or(None).unwrap_or(samples_done);
+                best_cost = f
+                    .opt_f64("best_cost")
+                    .unwrap_or(None)
+                    .filter(|c| c.is_finite());
+                error = f.opt_str("error").unwrap_or(None).filter(|e| !e.is_empty());
+            }
+            Err(e) => lines.reject(&line, e),
+        }
     }
-    fold
+    let scan = lines.finish();
+    WalFold {
+        state,
+        cancel_requested,
+        slices,
+        samples_done,
+        best_cost,
+        error,
+        corrupt: scan.corrupt,
+        torn_tail: scan.torn_tail.map(|_| scan.valid_bytes),
+        valid_bytes: scan.valid_bytes,
+        checked: scan.checked,
+    }
 }
 
 impl Drop for JobStore {
@@ -596,11 +534,7 @@ fn acquire_lock(io: &dyn StoreIo, lock: &Path) -> Result<(), StoreError> {
         match io.create_exclusive(lock, std::process::id().to_string().as_bytes()) {
             Ok(()) => return Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                let pid: u32 = std::fs::read_to_string(lock)
-                    .ok()
-                    .and_then(|s| s.trim().parse().ok())
-                    .unwrap_or(0);
-                if pid != 0 && Path::new(&format!("/proc/{pid}")).exists() {
+                if let Some(pid) = live_lock_pid(io, lock) {
                     return Err(StoreError::Locked {
                         path: lock.to_path_buf(),
                         pid,
@@ -618,15 +552,59 @@ fn acquire_lock(io: &dyn StoreIo, lock: &Path) -> Result<(), StoreError> {
     )))
 }
 
-pub(crate) fn parse_job_dir(name: &str) -> Option<JobId> {
-    name.strip_prefix("job-")?.parse().ok()
+/// The pid recorded in the lock file at `lock`, when that process is
+/// still alive. A missing, unreadable or dead pid is a stale lock.
+pub(crate) fn live_lock_pid(io: &dyn StoreIo, lock: &Path) -> Option<u32> {
+    let text = String::from_utf8(io.read(lock).ok()?).ok()?;
+    let pid: u32 = text.trim().parse().ok()?;
+    (pid != 0 && Path::new(&format!("/proc/{pid}")).exists()).then_some(pid)
 }
 
-pub(crate) fn read_spec_record(dir: &Path) -> Result<Fields, StoreError> {
-    let text = std::fs::read_to_string(dir.join("spec.json"))?;
+/// The ids of every job directory under `root`, in id order.
+pub(crate) fn job_ids(root: &Path) -> Result<Vec<JobId>, StoreError> {
+    let mut ids = Vec::new();
+    for entry in std::fs::read_dir(root.join("jobs"))? {
+        let name = entry?.file_name();
+        if let Some(id) = name
+            .to_string_lossy()
+            .strip_prefix("job-")
+            .and_then(|n| n.parse().ok())
+        {
+            ids.push(id);
+        }
+    }
+    ids.sort_unstable();
+    Ok(ids)
+}
+
+/// The directory holding job `id`'s files under the state dir `root`.
+pub(crate) fn job_dir(root: &Path, id: JobId) -> PathBuf {
+    root.join("jobs").join(format!("job-{id:06}"))
+}
+
+/// Appends one CRC32C-framed WAL line (built by `fill`) to the job at
+/// `dir` durably, so the transition is on disk before the caller moves
+/// on. The one WAL writer: the store's transitions and `fsck`'s
+/// quarantine marker both go through it.
+pub(crate) fn append_wal(
+    io: &dyn StoreIo,
+    dir: &Path,
+    fill: impl FnOnce(&mut JsonObj),
+) -> Result<(), StoreError> {
+    let mut o = JsonObj::typed("wal");
+    fill(&mut o);
+    let mut line = frame_line(&o.finish());
+    line.push('\n');
+    io.append_line_durable(&dir.join("wal.jsonl"), line.as_bytes())?;
+    Ok(())
+}
+
+fn read_spec_record(io: &dyn StoreIo, dir: &Path) -> Result<Fields, StoreError> {
+    let path = dir.join("spec.json");
+    let text = std::io::read_to_string(io.read(&path)?.as_slice())?;
     parse_flat_object(text.trim())
         .map(Fields)
-        .map_err(|e| StoreError::Corrupt(format!("{}: {e}", dir.join("spec.json").display())))
+        .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))
 }
 
 #[cfg(test)]
@@ -662,7 +640,7 @@ mod tests {
         let store = JobStore::open(&root).unwrap();
         assert_eq!(store.lookup_key("key-a"), Some(a));
         assert_eq!(store.lookup_key("other"), None);
-        let jobs: Vec<PersistedJob> = store
+        let jobs: Vec<Job> = store
             .load_all()
             .unwrap()
             .into_iter()

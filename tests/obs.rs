@@ -10,7 +10,7 @@ use std::sync::Arc;
 use spotlight_repro::conv::ConvLayer;
 use spotlight_repro::models::Model;
 use spotlight_repro::obs::{
-    parse_journal, Event, JournalWriter, MemorySink, Observer, Record, EVENT_KINDS,
+    parse_journal_tolerant_bytes, Event, JournalWriter, MemorySink, Observer, Record, EVENT_KINDS,
 };
 use spotlight_repro::spotlight::codesign::{CodesignConfig, Spotlight};
 
@@ -74,7 +74,11 @@ fn journal_round_trips_through_the_reader() {
             .codesign(&[model()]);
     }
     let text = std::fs::read_to_string(&path).expect("journal written");
-    let records = parse_journal(&text).expect("every line parses as a known event");
+    let parsed =
+        parse_journal_tolerant_bytes(text.as_bytes()).expect("every line parses as a known event");
+    assert!(parsed.truncated_tail.is_none(), "the journal ends cleanly");
+    assert!(parsed.corrupt.is_empty(), "{:?}", parsed.corrupt);
+    let records = parsed.records;
     let _ = std::fs::remove_file(&path);
 
     // Lossless round-trip: re-serializing each parsed record reproduces
