@@ -127,6 +127,26 @@ pub struct JobStatus {
 }
 
 impl Job {
+    /// A quarantined job: terminal `corrupt` with `reason` as its error.
+    /// Its spec and key are not trusted (they may be what was damaged),
+    /// so it carries [`RunSpec::default`] and no key — the same on the
+    /// restart that quarantines it as on every restart after.
+    pub fn quarantined(id: JobId, journal: PathBuf, reason: String) -> Job {
+        Job {
+            id,
+            spec: RunSpec::default(),
+            key: None,
+            journal,
+            state: JobState::Corrupt,
+            slices: 0,
+            samples_done: 0,
+            cancel_requested: false,
+            report: None,
+            best_cost: None,
+            error: Some(reason),
+        }
+    }
+
     /// The status row describing this job right now.
     pub fn status(&self) -> JobStatus {
         JobStatus {

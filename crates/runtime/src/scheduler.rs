@@ -214,22 +214,8 @@ impl Server {
                     let reason = e.to_string();
                     eprintln!("spotlight-serve: quarantining job {id}: {reason}");
                     note_store(store.record_corrupt(id, &reason));
-                    jobs.insert(
-                        id,
-                        Job {
-                            id,
-                            spec: RunSpec::default(),
-                            key: None,
-                            journal: job_dir(&opts.dir, id).join("journal.jsonl"),
-                            state: JobState::Corrupt,
-                            slices: 0,
-                            samples_done: 0,
-                            cancel_requested: false,
-                            report: None,
-                            best_cost: None,
-                            error: Some(reason),
-                        },
-                    );
+                    let journal = job_dir(&opts.dir, id).join("journal.jsonl");
+                    jobs.insert(id, Job::quarantined(id, journal, reason));
                     quarantined += 1;
                     continue;
                 }

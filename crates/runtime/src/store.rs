@@ -342,19 +342,22 @@ impl JobStore {
             self.io
                 .set_len(&dir.join("wal.jsonl"), scan.wal.valid_bytes)?;
         }
+        let fold = scan.wal;
+        // A trailing `corrupt` marker wins over the damage it records,
+        // a damaged spec record included: the job was already
+        // quarantined, and reloading it as terminal `Corrupt` without
+        // re-diagnosing is what makes quarantine idempotent. Unmarked
+        // corruption is an error the caller quarantines now.
+        if fold.state == JobState::Corrupt {
+            let reason = fold.error.unwrap_or_default();
+            return Ok(Job::quarantined(id, dir.join("journal.jsonl"), reason));
+        }
         let corrupt = |what: String| StoreError::Corrupt(format!("job {id}: {what}"));
         let fields = scan.record?;
         let spec = spec_of(&fields).map_err(corrupt)?;
         let key = Some(fields.str("key").map_err(corrupt)?).filter(|k| !k.is_empty());
-        let fold = scan.wal;
-        // A trailing `corrupt` marker wins over the damage it records:
-        // the job was already quarantined, and reloading it as terminal
-        // `Corrupt` is what makes quarantine idempotent. Unmarked
-        // corruption is an error the caller quarantines now.
-        if fold.state != JobState::Corrupt {
-            if let Some(c) = fold.corrupt.first() {
-                return Err(corrupt(format!("WAL {c}")));
-            }
+        if let Some(c) = fold.corrupt.first() {
+            return Err(corrupt(format!("WAL {c}")));
         }
         // A runnable job is about to have its journal replayed; verify
         // it now so a rotted checkpoint quarantines the job at startup

@@ -526,6 +526,48 @@ fn restart_quarantine_reasons_are_exact() {
     );
 }
 
+/// A job whose `spec.json` is damaged is quarantined once. Every restart
+/// after the first loads it from its `corrupt` marker without
+/// re-diagnosing it, so the WAL bytes, the `fsck` text and the
+/// quarantine reason stay identical, and each restart still counts it
+/// as quarantined.
+#[test]
+fn quarantine_of_a_damaged_spec_is_idempotent() {
+    let dir = Workdir::new("spec-quarantine");
+    let id = {
+        let spec = RunSpec::parse_str("--model transformer --hw 4 --sw 4 --seed 7").unwrap();
+        let mut store = JobStore::open(&dir.0).unwrap();
+        let (id, _) = store.create(&spec, None).unwrap();
+        store.record_state(id, JobState::Running, 1, 2).unwrap();
+        let path = job_file(&dir.0, id, "spec.json");
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        id
+    };
+    let wal = job_file(&dir.0, id, "wal.jsonl");
+    let restarts: Vec<_> = (0..3)
+        .map(|restart| {
+            let server = Server::new(dir.options(1, None)).unwrap();
+            assert_eq!(server.jobs_quarantined(), 1, "restart {restart}");
+            let status = server.status(id).unwrap();
+            server.shutdown();
+            assert_eq!(status.state, JobState::Corrupt, "restart {restart}");
+            (
+                std::fs::read(&wal).unwrap(),
+                fsck_store(&dir.0, false).unwrap().render(),
+                status.error,
+            )
+        })
+        .collect();
+    assert!(
+        restarts[0].2.as_deref().is_some_and(|e| e.contains("spec")),
+        "{:?}",
+        restarts[0].2
+    );
+    assert_eq!(restarts[1], restarts[0], "second restart changed the store");
+    assert_eq!(restarts[2], restarts[0], "third restart changed the store");
+}
+
 /// Restart recovery heals a torn WAL tail before anything appends to
 /// it. The WAL is cut at every byte that leaves its last line
 /// unterminated; after a restart records a transition, the next
