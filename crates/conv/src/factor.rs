@@ -6,6 +6,87 @@
 //! 3-level tiling is a *divisor chain* `t2 | t1 | n`. This module
 //! enumerates and counts those objects.
 
+/// Divisors a [`Divisors`] holds inline before it spills to the heap.
+/// Every integer below 10080 has at most 64 divisors, so the layer
+/// extents and PE counts of this workspace never spill.
+const INLINE_DIVISORS: usize = 64;
+
+/// The divisors of `n` in ascending order, enumerated without allocating
+/// while there are at most 64 of them (every `n` below 10080); past that
+/// the list moves to the heap, so any extent stays correct. This is the
+/// one divisor enumeration: [`divisors`] collects it into a `Vec`, and
+/// the tile samplers draw from it directly (it dereferences to `[u64]`).
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+///
+/// # Examples
+///
+/// ```
+/// use spotlight_conv::factor::Divisors;
+/// assert_eq!(&*Divisors::of(12), &[1, 2, 3, 4, 6, 12]);
+/// assert_eq!(Divisors::of(720_720).len(), 240); // spills, still exact
+/// ```
+#[derive(Debug, Clone)]
+pub struct Divisors {
+    inline: [u64; INLINE_DIVISORS],
+    len: usize,
+    spilled: Vec<u64>,
+}
+
+impl Divisors {
+    /// Enumerates the divisors of `n` by trial division up to `sqrt(n)`.
+    pub fn of(n: u64) -> Self {
+        assert!(n > 0, "divisors of zero are undefined");
+        let mut out = Divisors {
+            inline: [0; INLINE_DIVISORS],
+            len: 0,
+            spilled: Vec::new(),
+        };
+        // The divisors up to sqrt(n), ascending...
+        let mut d = 1;
+        while d * d <= n {
+            if n.is_multiple_of(d) {
+                out.push(d);
+            }
+            d += 1;
+        }
+        // ...then their cofactors, ascending because `small` descends.
+        for i in (0..out.len).rev() {
+            let small = out[i];
+            if small * small != n {
+                out.push(n / small);
+            }
+        }
+        out
+    }
+
+    fn push(&mut self, d: u64) {
+        if self.len < INLINE_DIVISORS {
+            self.inline[self.len] = d;
+        } else {
+            if self.spilled.is_empty() {
+                self.spilled.extend_from_slice(&self.inline);
+            }
+            self.spilled.push(d);
+        }
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Divisors {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        if self.len > INLINE_DIVISORS {
+            &self.spilled
+        } else {
+            &self.inline[..self.len]
+        }
+    }
+}
+
 /// Returns all divisors of `n` in ascending order.
 ///
 /// # Panics
@@ -19,22 +100,7 @@
 /// assert_eq!(divisors(12), vec![1, 2, 3, 4, 6, 12]);
 /// ```
 pub fn divisors(n: u64) -> Vec<u64> {
-    assert!(n > 0, "divisors of zero are undefined");
-    let mut small = Vec::new();
-    let mut large = Vec::new();
-    let mut d = 1;
-    while d * d <= n {
-        if n.is_multiple_of(d) {
-            small.push(d);
-            if d != n / d {
-                large.push(n / d);
-            }
-        }
-        d += 1;
-    }
-    large.reverse();
-    small.extend(large);
-    small
+    Divisors::of(n).to_vec()
 }
 
 /// Number of divisors of `n`.
@@ -210,6 +276,24 @@ mod tests {
         assert_eq!(divisors(1), vec![1]);
     }
 
+    /// Trial division over every candidate: the oracle for the walk.
+    fn naive_divisors(n: u64) -> Vec<u64> {
+        (1..=n).filter(|&d| n.is_multiple_of(d)).collect()
+    }
+
+    #[test]
+    fn divisors_spill_past_the_inline_capacity() {
+        // 7560 is the first integer with 64 divisors and 10080 the first
+        // with more; 720720 has 240 and spills well past the buffer.
+        for (n, count) in [(7560, 64), (10080, 72), (720_720, 240)] {
+            let ds = Divisors::of(n);
+            assert_eq!(ds.len(), count, "n={n}");
+            assert_eq!(&*ds, naive_divisors(n).as_slice(), "n={n}");
+            assert_eq!(divisors(n), naive_divisors(n), "n={n}");
+        }
+        assert!((1..10_080u64).all(|n| Divisors::of(n).len() <= INLINE_DIVISORS));
+    }
+
     #[test]
     fn chain_count_matches_enumeration_small() {
         for n in 1..=64u64 {
@@ -248,6 +332,11 @@ mod tests {
             for d in divisors(n) {
                 prop_assert_eq!(n % d, 0);
             }
+        }
+
+        #[test]
+        fn divisors_match_trial_division(n in 1u64..20_000) {
+            prop_assert_eq!(divisors(n), naive_divisors(n));
         }
 
         #[test]

@@ -68,7 +68,8 @@ impl LoopPermutation {
     /// ```
     pub fn from_lehmer(i: u64) -> Self {
         assert!(i < Self::COUNT, "permutation rank out of range");
-        let mut avail: Vec<Dim> = DIMS.to_vec();
+        // Dimensions not yet placed: the first `NUM_DIMS - slot` of `avail`.
+        let mut avail = DIMS;
         let mut rem = i;
         let mut order = [Dim::N; NUM_DIMS];
         let mut fact: u64 = Self::COUNT;
@@ -76,7 +77,8 @@ impl LoopPermutation {
             fact /= (NUM_DIMS - slot) as u64;
             let idx = (rem / fact) as usize;
             rem %= fact;
-            *item = avail.remove(idx);
+            *item = avail[idx];
+            avail.copy_within(idx + 1..NUM_DIMS - slot, idx);
         }
         LoopPermutation { order }
     }
@@ -84,17 +86,17 @@ impl LoopPermutation {
     /// Lexicographic rank of this permutation; inverse of
     /// [`LoopPermutation::from_lehmer`].
     pub fn rank(&self) -> u64 {
-        let mut avail: Vec<Dim> = DIMS.to_vec();
+        let mut avail = DIMS;
         let mut rank: u64 = 0;
         let mut fact: u64 = Self::COUNT;
         for (slot, d) in self.order.iter().enumerate() {
             fact /= (NUM_DIMS - slot) as u64;
-            let idx = avail
+            let idx = avail[..NUM_DIMS - slot]
                 .iter()
                 .position(|a| a == d)
                 .expect("valid permutation");
             rank += idx as u64 * fact;
-            avail.remove(idx);
+            avail.copy_within(idx + 1..NUM_DIMS - slot, idx);
         }
         rank
     }

@@ -11,6 +11,14 @@ pub trait FeatureMap<P> {
 
     /// Computes the feature vector for one parameter point.
     fn features(&self, p: &P) -> Vec<f64>;
+
+    /// Writes the feature vector for one parameter point into `out`,
+    /// which holds exactly [`FeatureMap::dim`] values. The acquisition
+    /// batch fills its candidate rows through this; a map that can
+    /// compute in place overrides it to skip the intermediate `Vec`.
+    fn features_into(&self, p: &P, out: &mut [f64]) {
+        out.copy_from_slice(&self.features(p));
+    }
 }
 
 /// A [`FeatureMap`] backed by a closure.
@@ -55,6 +63,10 @@ impl<P, M: FeatureMap<P> + ?Sized> FeatureMap<P> for &M {
 
     fn features(&self, p: &P) -> Vec<f64> {
         (**self).features(p)
+    }
+
+    fn features_into(&self, p: &P, out: &mut [f64]) {
+        (**self).features_into(p, out)
     }
 }
 
@@ -218,6 +230,11 @@ mod tests {
     fn fn_feature_map_delegates() {
         let fm = FnFeatureMap::new(1, |p: &i32| vec![*p as f64 * 2.0]);
         assert_eq!(fm.features(&21), vec![42.0]);
+        let mut out = [0.0];
+        fm.features_into(&21, &mut out);
+        assert_eq!(out, [42.0]);
+        FeatureMap::features_into(&&fm, &4, &mut out);
+        assert_eq!(out, [8.0]);
     }
 
     #[test]

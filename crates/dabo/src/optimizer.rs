@@ -138,7 +138,8 @@ pub struct Dabo<P, M> {
     observations_at_fit: usize,
     timers: SurrogateTimers,
     // Acquisition scratch, reused across `suggest` calls so the steady
-    // state allocates nothing beyond the per-candidate feature Vecs.
+    // state allocates nothing per candidate (given a sampler and a
+    // `FeatureMap::features_into` that allocate nothing).
     cand_raw: Matrix,
     cand_z: Matrix,
     cand_points: Vec<P>,
@@ -320,9 +321,7 @@ impl<P, M: FeatureMap<P>> Search<P> for Dabo<P, M> {
         let (model, st) = self.fitted.as_ref().expect("refit succeeded");
         for i in 0..batch {
             let p = (self.sampler)(rng);
-            self.cand_raw
-                .row_mut(i)
-                .copy_from_slice(&self.feature_map.features(&p));
+            self.feature_map.features_into(&p, self.cand_raw.row_mut(i));
             st.transform_into(self.cand_raw.row(i), self.cand_z.row_mut(i));
             self.cand_points.push(p);
         }

@@ -10,7 +10,7 @@
 //! sizes shrunk so the unrolled iterations actually cover the PE array.
 
 use spotlight_accel::{DataflowStyle, HardwareConfig};
-use spotlight_conv::factor::divisors;
+use spotlight_conv::factor::Divisors;
 use spotlight_conv::{ConvLayer, Dim, LoopPermutation, NUM_DIMS};
 
 use crate::schedule::{Schedule, TileSizes};
@@ -259,8 +259,9 @@ fn unroll_cap(cap: u64, lanes: u64) -> u64 {
         return 1;
     }
     let target = (cap / lanes).max(1);
-    divisors(cap)
-        .into_iter()
+    Divisors::of(cap)
+        .iter()
+        .copied()
         .filter(|&t| t <= target)
         .max()
         .unwrap_or(1)
@@ -268,8 +269,9 @@ fn unroll_cap(cap: u64, lanes: u64) -> u64 {
 
 /// Smallest divisor of `cap` strictly greater than `current`.
 fn next_divisor(cap: u64, current: u64) -> u64 {
-    divisors(cap)
-        .into_iter()
+    Divisors::of(cap)
+        .iter()
+        .copied()
         .find(|&d| d > current)
         .unwrap_or(cap)
 }

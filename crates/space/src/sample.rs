@@ -10,7 +10,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use spotlight_accel::HardwareConfig;
-use spotlight_conv::factor::divisors;
+use spotlight_conv::factor::{divisors, Divisors};
 use spotlight_conv::{ConvLayer, Dim, LoopPermutation, DIMS, NUM_DIMS};
 
 use crate::param::ParamRanges;
@@ -48,22 +48,131 @@ pub fn sample_hw<R: Rng + ?Sized>(rng: &mut R, ranges: &ParamRanges) -> Hardware
 
 /// Draws a uniform legal divisor chain `(l2, rf)` for `dim` of `layer`:
 /// a uniform divisor `l2 | extent`, then a uniform divisor `rf | l2`.
-/// Every tiling sampler and mutator redraws a dimension through this.
+/// Every tiling sampler and mutator redraws a dimension through this (or
+/// through [`DivisorChains`], which draws the same chain); it allocates
+/// nothing for an extent with at most 64 divisors.
 pub fn redraw_chain<R: Rng + ?Sized>(rng: &mut R, layer: &ConvLayer, dim: Dim) -> (u64, u64) {
-    let l2 = *divisors(layer.extent(dim)).choose(rng).expect("extent > 0");
-    let rf = *divisors(l2).choose(rng).expect("tile > 0");
+    let l2 = *Divisors::of(layer.extent(dim))
+        .choose(rng)
+        .expect("extent > 0");
+    let rf = *Divisors::of(l2).choose(rng).expect("tile > 0");
     (l2, rf)
 }
 
-/// Draws a uniform legal tiling for `layer`: per dimension, a
-/// [`redraw_chain`].
-pub fn sample_tiles<R: Rng + ?Sized>(rng: &mut R, layer: &ConvLayer) -> TileSizes {
+/// Where the tile samplers draw divisor chains from: a [`ConvLayer`],
+/// whose divisors [`redraw_chain`] enumerates on every draw, or its
+/// [`DivisorChains`], enumerated once. Both return the same chain for the
+/// same RNG words.
+pub trait ChainSource {
+    /// The layer whose extents the chains divide.
+    fn layer(&self) -> &ConvLayer;
+
+    /// Draws a uniform legal divisor chain `(l2, rf)` for `dim`.
+    fn chain<R: Rng + ?Sized>(&self, rng: &mut R, dim: Dim) -> (u64, u64);
+}
+
+impl ChainSource for ConvLayer {
+    fn layer(&self) -> &ConvLayer {
+        self
+    }
+
+    fn chain<R: Rng + ?Sized>(&self, rng: &mut R, dim: Dim) -> (u64, u64) {
+        redraw_chain(rng, self, dim)
+    }
+}
+
+/// Every legal divisor chain of one layer, per dimension: the divisors
+/// `l2` of the extent, and for each the divisors `rf` of `l2`. A software
+/// search builds this once and redraws chains by lookup instead of trial
+/// division.
+///
+/// # Examples
+///
+/// ```
+/// use rand::SeedableRng;
+/// use spotlight_conv::{ConvLayer, Dim};
+/// use spotlight_space::sample::{redraw_chain, ChainSource, DivisorChains};
+///
+/// let layer = ConvLayer::new(1, 256, 128, 3, 3, 28, 28);
+/// let chains = DivisorChains::new(&layer);
+/// let mut a = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+/// let mut b = a.clone();
+/// for _ in 0..20 {
+///     assert_eq!(chains.chain(&mut a, Dim::K), redraw_chain(&mut b, &layer, Dim::K));
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct DivisorChains {
+    layer: ConvLayer,
+    /// Per dimension, one entry per divisor of the extent, ascending.
+    l2: [Vec<L2Tile>; NUM_DIMS],
+    /// The divisors of every [`L2Tile`], back to back, each run
+    /// ascending.
+    rf: Vec<u64>,
+}
+
+/// One L2 tile size and where its divisors sit in [`DivisorChains::rf`].
+#[derive(Debug, Clone, Copy)]
+struct L2Tile {
+    size: u64,
+    rf_start: usize,
+    rf_end: usize,
+}
+
+impl DivisorChains {
+    /// Enumerates the chains of every dimension of `layer`.
+    pub fn new(layer: &ConvLayer) -> Self {
+        let mut rf = Vec::new();
+        let l2 = DIMS.map(|d| {
+            Divisors::of(layer.extent(d))
+                .iter()
+                .map(|&size| {
+                    let rf_start = rf.len();
+                    rf.extend_from_slice(&Divisors::of(size));
+                    L2Tile {
+                        size,
+                        rf_start,
+                        rf_end: rf.len(),
+                    }
+                })
+                .collect()
+        });
+        DivisorChains {
+            layer: *layer,
+            l2,
+            rf,
+        }
+    }
+}
+
+impl ChainSource for DivisorChains {
+    fn layer(&self) -> &ConvLayer {
+        &self.layer
+    }
+
+    /// The same draw as [`redraw_chain`]: a uniform index into the
+    /// ascending divisors of the extent, then one into those of `l2`.
+    fn chain<R: Rng + ?Sized>(&self, rng: &mut R, dim: Dim) -> (u64, u64) {
+        let l2 = self.l2[dim.index()].choose(rng).expect("extent > 0");
+        let rf = *self.rf[l2.rf_start..l2.rf_end]
+            .choose(rng)
+            .expect("tile > 0");
+        (l2.size, rf)
+    }
+}
+
+/// Draws a uniform legal tiling for a layer: per dimension, a
+/// [`ChainSource::chain`].
+pub fn sample_tiles<R: Rng + ?Sized, C: ChainSource + ?Sized>(
+    rng: &mut R,
+    chains: &C,
+) -> TileSizes {
     let mut l2 = [1u64; NUM_DIMS];
     let mut rf = [1u64; NUM_DIMS];
     for (i, d) in DIMS.iter().enumerate() {
-        (l2[i], rf[i]) = redraw_chain(rng, layer, *d);
+        (l2[i], rf[i]) = chains.chain(rng, *d);
     }
-    TileSizes::new(layer, l2, rf).expect("sampled chains are legal by construction")
+    TileSizes::new(chains.layer(), l2, rf).expect("sampled chains are legal by construction")
 }
 
 /// Draws a uniform loop permutation.
@@ -76,8 +185,9 @@ pub fn sample_dim<R: Rng + ?Sized>(rng: &mut R) -> Dim {
     *DIMS.choose(rng).expect("DIMS is non-empty")
 }
 
-/// Draws a uniform software schedule for `layer`: legal tiling, two loop
-/// orders, two unroll dimensions.
+/// Draws a uniform software schedule for a layer (or its
+/// [`DivisorChains`]): legal tiling, two loop orders, two unroll
+/// dimensions.
 ///
 /// The sample is *structurally* legal (divisor chains hold) but may still
 /// be *infeasible* on a given accelerator (tiles exceeding buffer
@@ -96,9 +206,12 @@ pub fn sample_dim<R: Rng + ?Sized>(rng: &mut R) -> Dim {
 /// let s = sample::sample_schedule(&mut rng, &layer);
 /// assert!(s.tiles().chain_is_legal());
 /// ```
-pub fn sample_schedule<R: Rng + ?Sized>(rng: &mut R, layer: &ConvLayer) -> Schedule {
+pub fn sample_schedule<R: Rng + ?Sized, C: ChainSource + ?Sized>(
+    rng: &mut R,
+    chains: &C,
+) -> Schedule {
     Schedule::new(
-        sample_tiles(rng, layer),
+        sample_tiles(rng, chains),
         sample_order(rng),
         sample_order(rng),
         sample_dim(rng),
@@ -219,6 +332,24 @@ mod tests {
             for d in DIMS {
                 prop_assert_eq!(t.dram(d), layer.extent(d));
             }
+        }
+
+        #[test]
+        fn divisor_chains_draw_what_redraw_chain_draws(
+            seed in 0u64..1_000,
+            k in 1u64..2049,
+            c in 1u64..1025,
+            xy in 1u64..113,
+        ) {
+            let layer = ConvLayer::new(1, k, c, 3, 3, xy, xy);
+            let chains = DivisorChains::new(&layer);
+            let mut a = ChaCha8Rng::seed_from_u64(seed);
+            let mut b = a.clone();
+            for d in DIMS {
+                prop_assert_eq!(chains.chain(&mut a, d), redraw_chain(&mut b, &layer, d));
+            }
+            prop_assert_eq!(sample_schedule(&mut a, &chains), sample_schedule(&mut b, &layer));
+            prop_assert_eq!(a.word_pos(), b.word_pos());
         }
 
         #[test]

@@ -8,7 +8,8 @@
 //! below.
 
 use spotlight_accel::HardwareConfig;
-use spotlight_conv::{ConvLayer, Dim, DIMS};
+use spotlight_conv::{ConvLayer, Dim, DIMS, NUM_DIMS};
+use spotlight_dabo::FeatureMap;
 use spotlight_space::Schedule;
 
 /// Names of the software-search features, aligned with Figure 4 and the
@@ -26,6 +27,9 @@ pub const SW_FEATURE_NAMES: [&str; 11] = [
     "DRAM Transfers",
     "Unrolled Dim Sizes",
 ];
+
+/// Number of software-search features produced by [`sw_features`].
+const SW_DIM: usize = SW_FEATURE_NAMES.len();
 
 /// Names of the hardware-search features.
 pub const HW_FEATURE_NAMES: [&str; 7] = [
@@ -58,6 +62,11 @@ pub const HW_FEATURE_NAMES: [&str; 7] = [
 /// ```
 pub fn sw_features(hw: &HardwareConfig, sched: &Schedule, layer: &ConvLayer) -> Vec<f64> {
     let _ = layer; // shape is already captured by the tiling's DRAM level
+    figure4(hw, sched).to_vec()
+}
+
+/// The [`sw_features`] values, on the stack.
+fn figure4(hw: &HardwareConfig, sched: &Schedule) -> [f64; SW_DIM] {
     let tiles = sched.tiles();
     let rows = hw.pe_rows() as f64;
     let cols = hw.pe_width() as f64;
@@ -123,7 +132,7 @@ pub fn sw_features(hw: &HardwareConfig, sched: &Schedule, layer: &ConvLayer) -> 
         + 7.0 * tiles.l2(Dim::K) as f64
         + 11.0 * tiles.rf(Dim::K) as f64;
 
-    vec![
+    [
         simd,
         bw,
         pes,
@@ -158,18 +167,23 @@ pub fn hw_features(hw: &HardwareConfig) -> Vec<f64> {
 /// This is what Spotlight-V ("vanilla BO ... directly searches the
 /// parameter space") trains its surrogate on.
 pub fn raw_sw_params(sched: &Schedule) -> Vec<f64> {
+    raw(sched).to_vec()
+}
+
+/// The [`raw_sw_params`] values, on the stack.
+fn raw(sched: &Schedule) -> [f64; RAW_SW_DIM] {
     let tiles = sched.tiles();
-    let mut v = Vec::with_capacity(18);
-    for d in DIMS {
-        v.push((tiles.l2(d) as f64).ln());
+    let mut v = [0.0; RAW_SW_DIM];
+    for (i, d) in DIMS.into_iter().enumerate() {
+        v[i] = (tiles.l2(d) as f64).ln();
+        v[NUM_DIMS + i] = (tiles.rf(d) as f64).ln();
     }
-    for d in DIMS {
-        v.push((tiles.rf(d) as f64).ln());
-    }
-    v.push(sched.outer_order().rank() as f64);
-    v.push(sched.inner_order().rank() as f64);
-    v.push(sched.outer_unroll().index() as f64);
-    v.push(sched.inner_unroll().index() as f64);
+    v[2 * NUM_DIMS..].copy_from_slice(&[
+        sched.outer_order().rank() as f64,
+        sched.inner_order().rank() as f64,
+        sched.outer_unroll().index() as f64,
+        sched.inner_unroll().index() as f64,
+    ]);
     v
 }
 
@@ -180,13 +194,87 @@ pub const RAW_SW_DIM: usize = 18;
 /// raw parameters (Section VII-D: "the union of all features and raw
 /// parameters").
 pub fn all_sw_features(hw: &HardwareConfig, sched: &Schedule, layer: &ConvLayer) -> Vec<f64> {
-    let mut v = sw_features(hw, sched, layer);
-    v.extend(raw_sw_params(sched));
-    v
+    let _ = layer;
+    SwFeatureMap::new(hw, SwFeatureSet::All).features(sched)
 }
 
 /// Dimension of [`all_sw_features`].
-pub const ALL_SW_DIM: usize = SW_FEATURE_NAMES.len() + RAW_SW_DIM;
+pub const ALL_SW_DIM: usize = SW_DIM + RAW_SW_DIM;
+
+/// Which software feature vector a [`SwFeatureMap`] computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SwFeatureSet {
+    /// The Figure 4 features, [`sw_features`] (Spotlight and its
+    /// baselines).
+    Figure4,
+    /// The raw parameter encoding, [`raw_sw_params`] (Spotlight-V).
+    Raw,
+    /// Both, [`all_sw_features`] (Spotlight-A).
+    All,
+}
+
+/// The feature map of one software search on a fixed accelerator. It
+/// computes each candidate's features straight into the acquisition
+/// batch's row ([`FeatureMap::features_into`]), with the same float
+/// operations as the `Vec`-returning functions above.
+///
+/// # Examples
+///
+/// ```
+/// use spotlight::features::{sw_features, SwFeatureMap, SwFeatureSet};
+/// use spotlight_accel::Baseline;
+/// use spotlight_conv::ConvLayer;
+/// use spotlight_dabo::FeatureMap;
+/// use spotlight_space::Schedule;
+///
+/// let hw = Baseline::NvdlaLike.edge_config();
+/// let layer = ConvLayer::new(1, 16, 8, 3, 3, 14, 14);
+/// let s = Schedule::trivial(&layer);
+/// let fm = SwFeatureMap::new(&hw, SwFeatureSet::Figure4);
+/// let mut row = vec![0.0; fm.dim()];
+/// fm.features_into(&s, &mut row);
+/// assert_eq!(row, sw_features(&hw, &s, &layer));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct SwFeatureMap {
+    hw: HardwareConfig,
+    set: SwFeatureSet,
+}
+
+impl SwFeatureMap {
+    /// The `set` features of schedules on `hw`.
+    pub fn new(hw: &HardwareConfig, set: SwFeatureSet) -> Self {
+        SwFeatureMap { hw: *hw, set }
+    }
+}
+
+impl FeatureMap<Schedule> for SwFeatureMap {
+    fn dim(&self) -> usize {
+        match self.set {
+            SwFeatureSet::Figure4 => SW_DIM,
+            SwFeatureSet::Raw => RAW_SW_DIM,
+            SwFeatureSet::All => ALL_SW_DIM,
+        }
+    }
+
+    fn features(&self, sched: &Schedule) -> Vec<f64> {
+        let mut v = vec![0.0; self.dim()];
+        self.features_into(sched, &mut v);
+        v
+    }
+
+    fn features_into(&self, sched: &Schedule, out: &mut [f64]) {
+        match self.set {
+            SwFeatureSet::Figure4 => out.copy_from_slice(&figure4(&self.hw, sched)),
+            SwFeatureSet::Raw => out.copy_from_slice(&raw(sched)),
+            SwFeatureSet::All => {
+                let (head, tail) = out.split_at_mut(SW_DIM);
+                head.copy_from_slice(&figure4(&self.hw, sched));
+                tail.copy_from_slice(&raw(sched));
+            }
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -223,6 +311,41 @@ mod tests {
         let layer = ConvLayer::new(1, 16, 8, 3, 3, 14, 14);
         let f = all_sw_features(&hw(), &Schedule::trivial(&layer), &layer);
         assert_eq!(f.len(), ALL_SW_DIM);
+    }
+
+    #[test]
+    fn feature_sets_fill_rows_in_place() {
+        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let layer = ConvLayer::new(1, 128, 64, 3, 3, 56, 56);
+        for _ in 0..100 {
+            let s = sample::sample_schedule(&mut rng, &layer);
+            let figure4 = sw_features(&hw(), &s, &layer);
+            let mut raw: Vec<f64> = DIMS
+                .iter()
+                .map(|&d| (s.tiles().l2(d) as f64).ln())
+                .collect();
+            raw.extend(DIMS.iter().map(|&d| (s.tiles().rf(d) as f64).ln()));
+            raw.extend([
+                s.outer_order().rank() as f64,
+                s.inner_order().rank() as f64,
+                s.outer_unroll().index() as f64,
+                s.inner_unroll().index() as f64,
+            ]);
+            let all: Vec<f64> = figure4.iter().chain(&raw).copied().collect();
+            assert_eq!(raw_sw_params(&s), raw);
+            assert_eq!(all_sw_features(&hw(), &s, &layer), all);
+            for (set, want) in [
+                (SwFeatureSet::Figure4, &figure4),
+                (SwFeatureSet::Raw, &raw),
+                (SwFeatureSet::All, &all),
+            ] {
+                let fm = SwFeatureMap::new(&hw(), set);
+                let mut row = vec![f64::NAN; fm.dim()];
+                fm.features_into(&s, &mut row);
+                assert_eq!(&row, want, "{set:?}");
+                assert_eq!(&fm.features(&s), want, "{set:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,22 +1,28 @@
 //! The per-layer software optimizer (daBO_SW) and its ablation variants.
+//!
+//! A software search's proposal state is built once per (hw, layer): the
+//! layer's divisor chains and three rigid base schedules
+//! ([`Proposals`]) and the feature map ([`SwFeatureMap`]) are captured by
+//! the search's sampler and surrogate, so a candidate draw only looks up
+//! tile chains and draws orders and unrolls, and its features go straight
+//! into the acquisition batch.
 
 use rand::seq::SliceRandom;
-use rand::RngCore;
+use rand::{Rng, RngCore};
 
 use spotlight_accel::{DataflowStyle, HardwareConfig};
 use spotlight_conv::{ConvLayer, Dim, DIMS, NUM_DIMS};
-use spotlight_dabo::{Dabo, DaboConfig, FnFeatureMap, Search, SurrogateKind, Trace};
+use spotlight_dabo::{Dabo, DaboConfig, Search, SurrogateKind, Trace};
 use spotlight_eval::{EvalEngine, Fidelity};
 use spotlight_gp::Kernel;
 use spotlight_maestro::{CostReport, Objective};
 use spotlight_obs::Observer;
 use spotlight_searchers::{Genetic, RandomSearch};
 use spotlight_space::dataflows::dataflow_schedule;
+use spotlight_space::sample::{ChainSource, DivisorChains};
 use spotlight_space::{mutate, sample, Schedule, TileSizes};
 
-use crate::features::{
-    all_sw_features, raw_sw_params, sw_features, ALL_SW_DIM, RAW_SW_DIM, SW_FEATURE_NAMES,
-};
+use crate::features::{SwFeatureMap, SwFeatureSet};
 use crate::variants::Variant;
 
 /// Configuration of one software search.
@@ -60,20 +66,131 @@ impl SwResult {
 /// concentrates candidate batches where the acquisition function can
 /// discriminate — the candidate-generation side of injecting domain
 /// information.
+///
+/// This one-shot form builds only the base schedule it draws around and
+/// enumerates divisors per draw; a search draws through
+/// [`Proposals::guided`] instead, which consumes the same RNG words and
+/// returns the same schedule.
 pub fn sample_schedule_guided(
     rng: &mut dyn RngCore,
     layer: &ConvLayer,
     hw: &HardwareConfig,
 ) -> Schedule {
-    use rand::Rng;
+    guided_draw(rng, layer, |style| dataflow_schedule(style, layer, hw))
+}
+
+/// Spotlight-F's restricted sampler: one of the three rigid dataflows
+/// with only the K and C tiling factors re-randomized (Section VII-E:
+/// "it only searches among the three software schedules supported by
+/// ConfuciuX ... and it only searches for tiling factors in the K and C
+/// dimensions"). One-shot form of [`Proposals::fixed_dataflow`].
+pub fn fixed_dataflow_sample(
+    rng: &mut dyn RngCore,
+    layer: &ConvLayer,
+    hw: &HardwareConfig,
+) -> Schedule {
+    fixed_dataflow_draw(rng, layer, |style| dataflow_schedule(style, layer, hw))
+}
+
+/// A style-constrained sampler for rigid hand-designed accelerators:
+/// unroll dimensions and loop orders are pinned by the dataflow, tiling
+/// is free (the compiler's degree of freedom). Used when evaluating
+/// Eyeriss-/NVDLA-/ShiDianNao-like baselines "under our layerwise
+/// software optimizer". One-shot form of [`Proposals::style_constrained`].
+pub fn style_constrained_sample(
+    rng: &mut dyn RngCore,
+    layer: &ConvLayer,
+    hw: &HardwareConfig,
+    style: DataflowStyle,
+) -> Schedule {
+    let base = dataflow_schedule(style, layer, hw);
+    randomize_dims(rng, &base, layer, [true; NUM_DIMS])
+}
+
+/// The proposal state of one software search, built once per (hw, layer):
+/// the layer's [`DivisorChains`] and its three rigid base schedules
+/// ([`DataflowStyle::RIGID`] order). Each draw consumes exactly the RNG
+/// words of its one-shot counterpart and returns the same schedule.
+///
+/// # Examples
+///
+/// ```
+/// use rand::SeedableRng;
+/// use spotlight::swsearch::{sample_schedule_guided, Proposals};
+/// use spotlight_accel::Baseline;
+/// use spotlight_conv::ConvLayer;
+///
+/// let hw = Baseline::NvdlaLike.edge_config();
+/// let layer = ConvLayer::new(1, 64, 32, 3, 3, 28, 28);
+/// let proposals = Proposals::new(&layer, &hw);
+/// let mut a = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+/// let mut b = a.clone();
+/// for _ in 0..20 {
+///     assert_eq!(proposals.guided(&mut a), sample_schedule_guided(&mut b, &layer, &hw));
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct Proposals {
+    chains: DivisorChains,
+    bases: [Schedule; 3],
+}
+
+impl Proposals {
+    /// Enumerates the divisor chains of `layer` and builds its three
+    /// rigid base schedules on `hw`.
+    pub fn new(layer: &ConvLayer, hw: &HardwareConfig) -> Self {
+        Proposals {
+            chains: DivisorChains::new(layer),
+            bases: DataflowStyle::RIGID.map(|style| dataflow_schedule(style, layer, hw)),
+        }
+    }
+
+    /// The base schedule of a rigid `style`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `style` is [`DataflowStyle::Flexible`].
+    fn base(&self, style: DataflowStyle) -> Schedule {
+        let i = DataflowStyle::RIGID
+            .iter()
+            .position(|&s| s == style)
+            .expect("a rigid dataflow style");
+        self.bases[i]
+    }
+
+    /// A draw from the guided mixture ([`sample_schedule_guided`]).
+    pub fn guided(&self, rng: &mut dyn RngCore) -> Schedule {
+        guided_draw(rng, &self.chains, |style| self.base(style))
+    }
+
+    /// A Spotlight-F draw ([`fixed_dataflow_sample`]).
+    pub fn fixed_dataflow(&self, rng: &mut dyn RngCore) -> Schedule {
+        fixed_dataflow_draw(rng, &self.chains, |style| self.base(style))
+    }
+
+    /// A draw pinned to one rigid `style` ([`style_constrained_sample`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `style` is [`DataflowStyle::Flexible`].
+    pub fn style_constrained(&self, rng: &mut dyn RngCore, style: DataflowStyle) -> Schedule {
+        randomize_dims(rng, &self.base(style), &self.chains, [true; NUM_DIMS])
+    }
+}
+
+fn guided_draw(
+    rng: &mut dyn RngCore,
+    chains: &impl ChainSource,
+    base: impl FnOnce(DataflowStyle) -> Schedule,
+) -> Schedule {
     if rng.gen_bool(0.5) {
-        return sample::sample_schedule(rng, layer);
+        return sample::sample_schedule(rng, chains);
     }
     let style = *DataflowStyle::RIGID.choose(rng).expect("menu non-empty");
-    let base = dataflow_schedule(style, layer, hw);
-    // Re-draw a random subset of tile chains.
-    let redraw: Vec<Dim> = DIMS.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
-    let mut s = randomize_dims(rng, &base, layer, &redraw);
+    // Re-draw a random subset of tile chains. All seven choices are made
+    // before any chain is redrawn.
+    let redraw: [bool; NUM_DIMS] = std::array::from_fn(|_| rng.gen_bool(0.5));
+    let mut s = randomize_dims(rng, &base(style), chains, redraw);
     if rng.gen_bool(0.3) {
         s = Schedule::new(
             *s.tiles(),
@@ -95,6 +212,44 @@ pub fn sample_schedule_guided(
     s
 }
 
+fn fixed_dataflow_draw(
+    rng: &mut dyn RngCore,
+    chains: &impl ChainSource,
+    base: impl FnOnce(DataflowStyle) -> Schedule,
+) -> Schedule {
+    let style = *DataflowStyle::RIGID.choose(rng).expect("menu non-empty");
+    let k_and_c = DIMS.map(|d| matches!(d, Dim::K | Dim::C));
+    randomize_dims(rng, &base(style), chains, k_and_c)
+}
+
+/// Re-randomizes the divisor chains of the dimensions marked in
+/// `redraw`, in [`DIMS`] order, keeping everything else.
+fn randomize_dims(
+    rng: &mut dyn RngCore,
+    base: &Schedule,
+    chains: &impl ChainSource,
+    redraw: [bool; NUM_DIMS],
+) -> Schedule {
+    let mut l2: [u64; NUM_DIMS] = std::array::from_fn(|i| base.tiles().l2(DIMS[i]));
+    let mut rf: [u64; NUM_DIMS] = std::array::from_fn(|i| base.tiles().rf(DIMS[i]));
+    for (i, d) in DIMS.into_iter().enumerate() {
+        if redraw[i] {
+            (l2[i], rf[i]) = chains.chain(rng, d);
+        }
+    }
+    let tiles = TileSizes::new(chains.layer(), l2, rf).expect("redrawn chains are legal");
+    base.with_tiles(tiles)
+}
+
+/// A daBO search over `fm` drawing candidates from `sampler`.
+fn dabo(
+    config: DaboConfig,
+    fm: SwFeatureMap,
+    sampler: impl FnMut(&mut dyn RngCore) -> Schedule + 'static,
+) -> Box<dyn Search<Schedule>> {
+    Box::new(Dabo::new(config, fm, sampler))
+}
+
 /// Builds the variant's software-search algorithm for one (hw, layer)
 /// pair.
 fn build_search(
@@ -103,36 +258,32 @@ fn build_search(
     layer: ConvLayer,
 ) -> Box<dyn Search<Schedule>> {
     let full_sampler = move |rng: &mut dyn RngCore| sample::sample_schedule(rng, &layer);
-    let guided_sampler = move |rng: &mut dyn RngCore| sample_schedule_guided(rng, &layer, &hw);
+    let figure4 = SwFeatureMap::new(&hw, SwFeatureSet::Figure4);
+    let guided = || {
+        let proposals = Proposals::new(&layer, &hw);
+        move |rng: &mut dyn RngCore| proposals.guided(rng)
+    };
     match variant {
-        Variant::Spotlight => {
-            let fm = FnFeatureMap::new(SW_FEATURE_NAMES.len(), move |s: &Schedule| {
-                sw_features(&hw, s, &layer)
-            });
-            Box::new(Dabo::new(DaboConfig::default(), fm, guided_sampler))
-        }
-        Variant::SpotlightA => {
-            let fm = FnFeatureMap::new(ALL_SW_DIM, move |s: &Schedule| {
-                all_sw_features(&hw, s, &layer)
-            });
-            Box::new(Dabo::new(DaboConfig::default(), fm, guided_sampler))
-        }
+        Variant::Spotlight => dabo(DaboConfig::default(), figure4, guided()),
+        Variant::SpotlightA => dabo(
+            DaboConfig::default(),
+            SwFeatureMap::new(&hw, SwFeatureSet::All),
+            guided(),
+        ),
         Variant::SpotlightV => {
-            let fm = FnFeatureMap::new(RAW_SW_DIM, |s: &Schedule| raw_sw_params(s));
             let cfg = DaboConfig {
                 surrogate: SurrogateKind::Gp(Kernel::matern52(3.0)),
                 // O(N^3) fits: refit sparsely, as off-the-shelf BO stacks do.
                 refit_every: 4,
                 ..DaboConfig::default()
             };
-            Box::new(Dabo::new(cfg, fm, guided_sampler))
+            dabo(cfg, SwFeatureMap::new(&hw, SwFeatureSet::Raw), guided())
         }
         Variant::SpotlightF => {
-            let fm = FnFeatureMap::new(SW_FEATURE_NAMES.len(), move |s: &Schedule| {
-                sw_features(&hw, s, &layer)
-            });
-            let sampler = move |rng: &mut dyn RngCore| fixed_dataflow_sample(rng, &layer, &hw);
-            Box::new(Dabo::new(DaboConfig::default(), fm, sampler))
+            let proposals = Proposals::new(&layer, &hw);
+            dabo(DaboConfig::default(), figure4, move |rng| {
+                proposals.fixed_dataflow(rng)
+            })
         }
         Variant::SpotlightR => Box::new(RandomSearch::new(full_sampler)),
         Variant::SpotlightGA => Box::new(Genetic::new(
@@ -145,52 +296,6 @@ fn build_search(
             },
         )),
     }
-}
-
-/// Spotlight-F's restricted sampler: one of the three rigid dataflows
-/// with only the K and C tiling factors re-randomized (Section VII-E:
-/// "it only searches among the three software schedules supported by
-/// ConfuciuX ... and it only searches for tiling factors in the K and C
-/// dimensions").
-pub fn fixed_dataflow_sample(
-    rng: &mut dyn RngCore,
-    layer: &ConvLayer,
-    hw: &HardwareConfig,
-) -> Schedule {
-    let style = *DataflowStyle::RIGID.choose(rng).expect("menu non-empty");
-    let base = dataflow_schedule(style, layer, hw);
-    randomize_dims(rng, &base, layer, &[Dim::K, Dim::C])
-}
-
-/// Re-randomizes the divisor chains of `dims`, keeping everything else.
-fn randomize_dims(
-    rng: &mut dyn RngCore,
-    base: &Schedule,
-    layer: &ConvLayer,
-    dims: &[Dim],
-) -> Schedule {
-    let mut l2: [u64; NUM_DIMS] = std::array::from_fn(|i| base.tiles().l2(DIMS[i]));
-    let mut rf: [u64; NUM_DIMS] = std::array::from_fn(|i| base.tiles().rf(DIMS[i]));
-    for &d in dims {
-        (l2[d.index()], rf[d.index()]) = sample::redraw_chain(rng, layer, d);
-    }
-    let tiles = TileSizes::new(layer, l2, rf).expect("redrawn chains are legal");
-    base.with_tiles(tiles)
-}
-
-/// A style-constrained sampler for rigid hand-designed accelerators:
-/// unroll dimensions and loop orders are pinned by the dataflow, tiling
-/// is free (the compiler's degree of freedom). Used when evaluating
-/// Eyeriss-/NVDLA-/ShiDianNao-like baselines "under our layerwise
-/// software optimizer".
-pub fn style_constrained_sample(
-    rng: &mut dyn RngCore,
-    layer: &ConvLayer,
-    hw: &HardwareConfig,
-    style: DataflowStyle,
-) -> Schedule {
-    let base = dataflow_schedule(style, layer, hw);
-    randomize_dims(rng, &base, layer, &DIMS)
 }
 
 /// Runs one software search of `cfg.samples` cost-model evaluations for
@@ -265,18 +370,16 @@ pub fn optimize_schedule_for_style(
     cfg: &SwSearchConfig,
     rng: &mut dyn RngCore,
 ) -> SwResult {
-    let hw_c = *hw;
-    let layer_c = *layer;
-    let mut search: Box<dyn Search<Schedule>> = if style == DataflowStyle::Flexible {
+    let mut search = if style == DataflowStyle::Flexible {
         // MAERI-like: flexible dataflow, full schedule freedom on fixed HW.
-        build_search(Variant::Spotlight, hw_c, layer_c)
+        build_search(Variant::Spotlight, *hw, *layer)
     } else {
-        let fm = FnFeatureMap::new(SW_FEATURE_NAMES.len(), move |s: &Schedule| {
-            sw_features(&hw_c, s, &layer_c)
-        });
-        let sampler =
-            move |rng: &mut dyn RngCore| style_constrained_sample(rng, &layer_c, &hw_c, style);
-        Box::new(Dabo::new(DaboConfig::default(), fm, sampler))
+        let proposals = Proposals::new(layer, hw);
+        dabo(
+            DaboConfig::default(),
+            SwFeatureMap::new(hw, SwFeatureSet::Figure4),
+            move |rng| proposals.style_constrained(rng, style),
+        )
     };
     run_sw(
         engine,
@@ -302,18 +405,16 @@ pub fn optimize_schedule_uniform(
     acquisition: spotlight_dabo::Acquisition,
     rng: &mut dyn RngCore,
 ) -> SwResult {
-    let hw_c = *hw;
-    let layer_c = *layer;
-    let fm = FnFeatureMap::new(SW_FEATURE_NAMES.len(), move |s: &Schedule| {
-        sw_features(&hw_c, s, &layer_c)
-    });
+    let chains = DivisorChains::new(layer);
     let dcfg = DaboConfig {
         acquisition,
         ..DaboConfig::default()
     };
-    let mut search = Dabo::new(dcfg, fm, move |rng: &mut dyn RngCore| {
-        sample::sample_schedule(rng, &layer_c)
-    });
+    let mut search = dabo(
+        dcfg,
+        SwFeatureMap::new(hw, SwFeatureSet::Figure4),
+        move |rng: &mut dyn RngCore| sample::sample_schedule(rng, &chains),
+    );
     run_sw(
         engine,
         hw,
@@ -321,7 +422,7 @@ pub fn optimize_schedule_uniform(
         cfg,
         Fidelity::Full,
         rng,
-        &mut search,
+        search.as_mut(),
         &Observer::null(),
     )
 }
@@ -336,18 +437,16 @@ pub fn optimize_schedule_with_acquisition(
     acquisition: spotlight_dabo::Acquisition,
     rng: &mut dyn RngCore,
 ) -> SwResult {
-    let hw_c = *hw;
-    let layer_c = *layer;
-    let fm = FnFeatureMap::new(SW_FEATURE_NAMES.len(), move |s: &Schedule| {
-        sw_features(&hw_c, s, &layer_c)
-    });
+    let proposals = Proposals::new(layer, hw);
     let dcfg = DaboConfig {
         acquisition,
         ..DaboConfig::default()
     };
-    let mut search = Dabo::new(dcfg, fm, move |rng: &mut dyn RngCore| {
-        sample_schedule_guided(rng, &layer_c, &hw_c)
-    });
+    let mut search = dabo(
+        dcfg,
+        SwFeatureMap::new(hw, SwFeatureSet::Figure4),
+        move |rng| proposals.guided(rng),
+    );
     run_sw(
         engine,
         hw,
@@ -355,7 +454,7 @@ pub fn optimize_schedule_with_acquisition(
         cfg,
         Fidelity::Full,
         rng,
-        &mut search,
+        search.as_mut(),
         &Observer::null(),
     )
 }
@@ -479,6 +578,40 @@ mod tests {
             // Only K and C may deviate from some base schedule's tiling;
             // chains must stay legal regardless.
             assert!(s.tiles().chain_is_legal());
+        }
+    }
+
+    #[test]
+    fn proposals_draw_what_the_one_shot_samplers_draw() {
+        let hws = [
+            Baseline::NvdlaLike.edge_config(),
+            Baseline::EyerissLike.edge_config(),
+        ];
+        let layers = [
+            layer(),
+            ConvLayer::new(1, 512, 2048, 1, 1, 7, 7),
+            ConvLayer::new(1, 64, 3, 7, 7, 112, 112).with_stride(2),
+        ];
+        for hw in &hws {
+            for l in &layers {
+                let p = Proposals::new(l, hw);
+                let mut a = ChaCha8Rng::seed_from_u64(9);
+                let mut b = a.clone();
+                for _ in 0..64 {
+                    assert_eq!(p.guided(&mut a), sample_schedule_guided(&mut b, l, hw));
+                    assert_eq!(
+                        p.fixed_dataflow(&mut a),
+                        fixed_dataflow_sample(&mut b, l, hw)
+                    );
+                    for style in DataflowStyle::RIGID {
+                        assert_eq!(
+                            p.style_constrained(&mut a, style),
+                            style_constrained_sample(&mut b, l, hw, style)
+                        );
+                    }
+                }
+                assert_eq!(a.word_pos(), b.word_pos());
+            }
         }
     }
 
