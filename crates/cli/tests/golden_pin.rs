@@ -217,6 +217,33 @@ fn faulted_run_reproduces_its_golden_report() {
 }
 
 #[test]
+fn evaluate_reproduces_its_golden_stdout() {
+    // `evaluate` costs a hand-designed baseline under the layerwise
+    // software optimizer; its stdout is the plan and the evaluation
+    // count, one edge-scale and one cloud-scale run in that order.
+    let runs = [
+        "--baseline eyeriss --model transformer --sw 10",
+        "--baseline maeri --model mobilenetv2 --sw 10 --scale cloud",
+    ];
+    let mut got = String::new();
+    for args in runs {
+        let out = Command::new(BIN)
+            .arg("evaluate")
+            .args(args.split_whitespace())
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "evaluate {args} failed");
+        got.push_str(&String::from_utf8(out.stdout).expect("stdout is UTF-8"));
+    }
+    let golden = std::fs::read_to_string(golden_dir().join("evaluate_report.txt"))
+        .expect("golden evaluate report exists");
+    assert_eq!(
+        got, golden,
+        "evaluate stdout must be byte-identical to its golden"
+    );
+}
+
+#[test]
 fn golden_report_still_contains_the_pinned_result() {
     // Belt and braces: the golden file itself must carry the expected
     // search result, so a regeneration that changed the outcome (rather
