@@ -93,10 +93,10 @@ pub use robust::{
 };
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use spotlight_accel::HardwareConfig;
@@ -509,17 +509,36 @@ impl SharedCache {
     }
 }
 
-/// Monotonic, process-lifetime counters aggregated across every engine
-/// that carries a handle to them (see [`EvalEngineBuilder::global_stats`]).
-///
-/// Unlike an engine's own counters these are never reset or restored:
-/// `reset_stats` / `restore_logical_counters` rewrite per-run logical
-/// accounting, while these record operational totals — what the process
-/// actually did — which is what a metrics endpoint should export. A
-/// crash-recovered job therefore double-counts its replayed work here,
-/// deliberately: the work really was performed twice.
+/// A named span of a search's wall time that [`EvalEngine::time_phase`]
+/// and [`EvalEngine::add_phase_wall`] charge. Declared in name order,
+/// which is the order [`EvalStats::phase_wall`] lists phases in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// The surrogate's candidate ranking, harvested from a model-based
+    /// searcher's own timers; part of `hw_search` or `sw_search` time.
+    Acquisition,
+    /// Proposing the next hardware configuration.
+    HwSearch,
+    /// The surrogate's refits, harvested like `acquisition`.
+    SurrogateFit,
+    /// The software searches of one hardware sample.
+    SwSearch,
+}
+
+impl Phase {
+    /// Phase names, indexed by discriminant.
+    const NAMES: [&'static str; 4] = ["acquisition", "hw_search", "surrogate_fit", "sw_search"];
+
+    /// The phase's name in reports, journals and `/metrics`.
+    pub fn as_str(self) -> &'static str {
+        Self::NAMES[self as usize]
+    }
+}
+
+/// The counters and phase timers behind [`EvalStats`], held once per
+/// engine and once per [`GlobalEvalStats`] mirror.
 #[derive(Default)]
-pub struct GlobalEvalStats {
+struct Counters {
     evaluations: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -533,7 +552,80 @@ pub struct GlobalEvalStats {
     outliers_rejected: AtomicU64,
     fidelity_cheap_evals: AtomicU64,
     fidelity_full_evals: AtomicU64,
-    phase_wall: Mutex<BTreeMap<&'static str, Duration>>,
+    /// Wall time per [`Phase`], indexed by discriminant; `None` until
+    /// the phase is first charged.
+    phase_wall: Mutex<[Option<Duration>; Phase::NAMES.len()]>,
+}
+
+impl Counters {
+    fn snapshot(&self) -> EvalStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        EvalStats {
+            evaluations: load(&self.evaluations),
+            cache_hits: load(&self.cache_hits),
+            cache_misses: load(&self.cache_misses),
+            infeasible: load(&self.infeasible),
+            quarantined: load(&self.quarantined),
+            transient_retries: load(&self.transient_retries),
+            failed_layers: load(&self.failed_layers),
+            sw_searches: load(&self.sw_searches),
+            evictions: load(&self.evictions),
+            replicate_measurements: load(&self.replicate_measurements),
+            outliers_rejected: load(&self.outliers_rejected),
+            fidelity_cheap_evals: load(&self.fidelity_cheap_evals),
+            fidelity_full_evals: load(&self.fidelity_full_evals),
+            phase_wall: Phase::NAMES
+                .iter()
+                .zip(*self.walls())
+                .filter_map(|(name, wall)| Some((name.to_string(), wall?)))
+                .collect(),
+        }
+    }
+
+    fn reset(&self) {
+        for c in [
+            &self.evaluations,
+            &self.cache_hits,
+            &self.cache_misses,
+            &self.infeasible,
+            &self.quarantined,
+            &self.transient_retries,
+            &self.failed_layers,
+            &self.sw_searches,
+            &self.evictions,
+            &self.replicate_measurements,
+            &self.outliers_rejected,
+            &self.fidelity_cheap_evals,
+            &self.fidelity_full_evals,
+        ] {
+            c.store(0, Ordering::Relaxed);
+        }
+        *self.walls() = Default::default();
+    }
+
+    fn charge(&self, phase: Phase, elapsed: Duration) {
+        *self.walls()[phase as usize].get_or_insert(Duration::ZERO) += elapsed;
+    }
+
+    fn walls(&self) -> MutexGuard<'_, [Option<Duration>; Phase::NAMES.len()]> {
+        self.phase_wall
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Monotonic, process-lifetime counters aggregated across every engine
+/// that carries a handle to them (see [`EvalEngineBuilder::global_stats`]).
+///
+/// Unlike an engine's own counters these are never reset or restored:
+/// `reset_stats` / `restore_logical_counters` rewrite per-run logical
+/// accounting, while these record operational totals — what the process
+/// actually did — which is what a metrics endpoint should export. A
+/// crash-recovered job therefore double-counts its replayed work here,
+/// deliberately: the work really was performed twice.
+#[derive(Default)]
+pub struct GlobalEvalStats {
+    counters: Counters,
 }
 
 impl fmt::Debug for GlobalEvalStats {
@@ -547,28 +639,7 @@ impl fmt::Debug for GlobalEvalStats {
 impl GlobalEvalStats {
     /// Snapshot of the aggregated counters, in [`EvalStats`] form.
     pub fn snapshot(&self) -> EvalStats {
-        EvalStats {
-            evaluations: self.evaluations.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            infeasible: self.infeasible.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            transient_retries: self.transient_retries.load(Ordering::Relaxed),
-            failed_layers: self.failed_layers.load(Ordering::Relaxed),
-            sw_searches: self.sw_searches.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            replicate_measurements: self.replicate_measurements.load(Ordering::Relaxed),
-            outliers_rejected: self.outliers_rejected.load(Ordering::Relaxed),
-            fidelity_cheap_evals: self.fidelity_cheap_evals.load(Ordering::Relaxed),
-            fidelity_full_evals: self.fidelity_full_evals.load(Ordering::Relaxed),
-            phase_wall: self
-                .phase_wall
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-        }
+        self.counters.snapshot()
     }
 }
 
@@ -608,7 +679,8 @@ pub struct EvalStats {
     /// no-fidelity baseline's `evaluations` to this number is the
     /// full-fidelity-evaluation saving the ladder bought.
     pub fidelity_full_evals: u64,
-    /// Accumulated wall time per named phase, sorted by phase name.
+    /// Accumulated wall time per [`Phase`] charged at least once, in
+    /// name order.
     pub phase_wall: Vec<(String, Duration)>,
 }
 
@@ -683,8 +755,9 @@ impl EvalStats {
 pub struct EvalEngine {
     backend: Box<dyn CostBackend>,
     cache: Option<Arc<Mutex<MemoCache>>>,
-    /// Process-wide counter mirror; every local increment is repeated
-    /// here when attached (see [`EvalEngineBuilder::global_stats`]).
+    /// Process-wide counter mirror; every local increment and phase
+    /// charge is repeated here when attached (see
+    /// [`EvalEngineBuilder::global_stats`]).
     global: Option<Arc<GlobalEvalStats>>,
     retry: RetryPolicy,
     robust: RobustPolicy,
@@ -703,20 +776,7 @@ pub struct EvalEngine {
     /// Mirror of `quarantine.len()`: lets the fault-free hot path skip
     /// the quarantine lock with a single relaxed load.
     quarantine_len: AtomicU64,
-    evaluations: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    infeasible: AtomicU64,
-    quarantined: AtomicU64,
-    transient_retries: AtomicU64,
-    failed_layers: AtomicU64,
-    sw_searches: AtomicU64,
-    evictions: AtomicU64,
-    replicate_measurements: AtomicU64,
-    outliers_rejected: AtomicU64,
-    fidelity_cheap_evals: AtomicU64,
-    fidelity_full_evals: AtomicU64,
-    phase_wall: Mutex<BTreeMap<&'static str, Duration>>,
+    counters: Counters,
 }
 
 impl fmt::Debug for EvalEngine {
@@ -785,12 +845,12 @@ impl EvalEngine {
         self.backend.noise()
     }
 
-    /// Bumps a local counter and, when a [`GlobalEvalStats`] mirror is
-    /// attached, the matching global counter by the same amount.
-    fn count(&self, local: &AtomicU64, pick: fn(&GlobalEvalStats) -> &AtomicU64, n: u64) {
-        local.fetch_add(n, Ordering::Relaxed);
+    /// Bumps the counter `pick` selects by `n` and, when a
+    /// [`GlobalEvalStats`] mirror is attached, the mirror's as well.
+    fn count(&self, pick: fn(&Counters) -> &AtomicU64, n: u64) {
+        pick(&self.counters).fetch_add(n, Ordering::Relaxed);
         if let Some(global) = &self.global {
-            pick(global).fetch_add(n, Ordering::Relaxed);
+            pick(&global.counters).fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -887,15 +947,11 @@ impl EvalEngine {
         layer: &ConvLayer,
         fidelity: Fidelity,
     ) -> CacheValue {
-        self.count(&self.evaluations, |g| &g.evaluations, 1);
+        self.count(|c| &c.evaluations, 1);
         if self.fidelity.is_some() {
             match fidelity {
-                Fidelity::Full => {
-                    self.count(&self.fidelity_full_evals, |g| &g.fidelity_full_evals, 1)
-                }
-                Fidelity::Rung(_) => {
-                    self.count(&self.fidelity_cheap_evals, |g| &g.fidelity_cheap_evals, 1)
-                }
+                Fidelity::Full => self.count(|c| &c.fidelity_full_evals, 1),
+                Fidelity::Rung(_) => self.count(|c| &c.fidelity_cheap_evals, 1),
             }
         }
         // Fault-free runs pay one relaxed load here and never touch the
@@ -910,8 +966,8 @@ impl EvalEngine {
             if hit {
                 // Answered without the backend: counts as a cache hit so
                 // `evaluations == cache_hits + cache_misses` stays exact.
-                self.count(&self.cache_hits, |g| &g.cache_hits, 1);
-                self.count(&self.quarantined, |g| &g.quarantined, 1);
+                self.count(|c| &c.cache_hits, 1);
+                self.count(|c| &c.quarantined, 1);
                 return Err(EvalError::Quarantined);
             }
         }
@@ -926,7 +982,7 @@ impl EvalEngine {
                     .copied();
                 match cached {
                     Some(r) => {
-                        self.count(&self.cache_hits, |g| &g.cache_hits, 1);
+                        self.count(|c| &c.cache_hits, 1);
                         r
                     }
                     None => {
@@ -934,7 +990,7 @@ impl EvalEngine {
                         // and workers must not serialize on it. Two
                         // threads may race on one key; both store the
                         // same pure value, so last-write-wins is safe.
-                        self.count(&self.cache_misses, |g| &g.cache_misses, 1);
+                        self.count(|c| &c.cache_misses, 1);
                         let r = self.replicate_measurement(hw, sched, layer, fidelity);
                         let deterministic = match &r {
                             Ok(_) => true,
@@ -946,7 +1002,7 @@ impl EvalEngine {
                                 .unwrap_or_else(PoisonError::into_inner)
                                 .insert(key, r);
                             if evicted > 0 {
-                                self.count(&self.evictions, |g| &g.evictions, evicted);
+                                self.count(|c| &c.evictions, evicted);
                             }
                         }
                         r
@@ -954,18 +1010,18 @@ impl EvalEngine {
                 }
             }
             None => {
-                self.count(&self.cache_misses, |g| &g.cache_misses, 1);
+                self.count(|c| &c.cache_misses, 1);
                 self.replicate_measurement(hw, sched, layer, fidelity)
             }
         };
         match result {
             Err(e) if e.is_infeasible() => {
-                self.count(&self.infeasible, |g| &g.infeasible, 1);
+                self.count(|c| &c.infeasible, 1);
             }
             Err(EvalError::Transient) | Err(EvalError::Poisoned) => {
                 // Retries exhausted or report corrupted: quarantine the
                 // key so the run degrades instead of hammering it.
-                self.count(&self.quarantined, |g| &g.quarantined, 1);
+                self.count(|c| &c.quarantined, 1);
                 let fp = key_fingerprint(hw, sched, layer);
                 let mut q = self
                     .quarantine
@@ -1095,13 +1151,9 @@ impl EvalEngine {
             rejected,
             dispersion: relative_dispersion(&delays).max(relative_dispersion(&energies)),
         });
-        self.count(
-            &self.replicate_measurements,
-            |g| &g.replicate_measurements,
-            measurements,
-        );
+        self.count(|c| &c.replicate_measurements, measurements);
         if rejected > 0 {
-            self.count(&self.outliers_rejected, |g| &g.outliers_rejected, rejected);
+            self.count(|c| &c.outliers_rejected, rejected);
         }
         Ok((report, summary))
     }
@@ -1135,7 +1187,7 @@ impl EvalEngine {
                         Some(remaining) => self.retry.backoff(attempt).min(remaining),
                         None => self.retry.backoff(attempt),
                     };
-                    self.count(&self.transient_retries, |g| &g.transient_retries, 1);
+                    self.count(|c| &c.transient_retries, 1);
                     if !pause.is_zero() {
                         std::thread::sleep(pause);
                     }
@@ -1160,12 +1212,12 @@ impl EvalEngine {
     /// accounting tests can assert `evaluations == sw_searches * budget`
     /// exactly.
     pub fn count_sw_search(&self) {
-        self.count(&self.sw_searches, |g| &g.sw_searches, 1);
+        self.count(|c| &c.sw_searches, 1);
     }
 
     /// Records one layer abandoned after its worker panicked twice.
     pub fn count_failed_layer(&self) {
-        self.count(&self.failed_layers, |g| &g.failed_layers, 1);
+        self.count(|c| &c.failed_layers, 1);
     }
 
     /// Restores the *logical* counters from a checkpoint when resuming
@@ -1184,96 +1236,50 @@ impl EvalEngine {
         failed_layers: u64,
         outliers_rejected: u64,
     ) {
-        self.evaluations.store(evaluations, Ordering::Relaxed);
-        self.sw_searches.store(sw_searches, Ordering::Relaxed);
-        self.infeasible.store(infeasible, Ordering::Relaxed);
-        self.quarantined.store(quarantined, Ordering::Relaxed);
-        self.failed_layers.store(failed_layers, Ordering::Relaxed);
-        self.outliers_rejected
+        let c = &self.counters;
+        c.evaluations.store(evaluations, Ordering::Relaxed);
+        c.sw_searches.store(sw_searches, Ordering::Relaxed);
+        c.infeasible.store(infeasible, Ordering::Relaxed);
+        c.quarantined.store(quarantined, Ordering::Relaxed);
+        c.failed_layers.store(failed_layers, Ordering::Relaxed);
+        c.outliers_rejected
             .store(outliers_rejected, Ordering::Relaxed);
     }
 
-    /// Runs `f`, charging its wall time to the named phase.
-    pub fn time_phase<T>(&self, phase: &'static str, f: impl FnOnce() -> T) -> T {
+    /// Runs `f`, charging its wall time to `phase`.
+    pub fn time_phase<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
         self.add_phase_wall(phase, start.elapsed());
         out
     }
 
-    /// Charges an externally measured duration to the named phase. Used by
+    /// Charges an externally measured duration to `phase`. Used by
     /// drivers that harvest timers a component accumulated on its own —
     /// e.g. the daBO surrogate's fit/acquisition split, which is measured
     /// inside the searcher and folded in here after the search loop.
-    pub fn add_phase_wall(&self, phase: &'static str, elapsed: Duration) {
-        *self
-            .phase_wall
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(phase)
-            .or_insert(Duration::ZERO) += elapsed;
+    pub fn add_phase_wall(&self, phase: Phase, elapsed: Duration) {
+        self.counters.charge(phase, elapsed);
         if let Some(global) = &self.global {
-            *global
-                .phase_wall
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entry(phase)
-                .or_insert(Duration::ZERO) += elapsed;
+            global.counters.charge(phase, elapsed);
         }
     }
 
     /// Logical queries answered so far.
     pub fn evaluations(&self) -> u64 {
-        self.evaluations.load(Ordering::Relaxed)
+        self.counters.evaluations.load(Ordering::Relaxed)
     }
 
     /// Snapshot of every counter.
     pub fn stats(&self) -> EvalStats {
-        EvalStats {
-            evaluations: self.evaluations.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            infeasible: self.infeasible.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            transient_retries: self.transient_retries.load(Ordering::Relaxed),
-            failed_layers: self.failed_layers.load(Ordering::Relaxed),
-            sw_searches: self.sw_searches.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            replicate_measurements: self.replicate_measurements.load(Ordering::Relaxed),
-            outliers_rejected: self.outliers_rejected.load(Ordering::Relaxed),
-            fidelity_cheap_evals: self.fidelity_cheap_evals.load(Ordering::Relaxed),
-            fidelity_full_evals: self.fidelity_full_evals.load(Ordering::Relaxed),
-            phase_wall: self
-                .phase_wall
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .map(|(k, v)| (k.to_string(), *v))
-                .collect(),
-        }
+        self.counters.snapshot()
     }
 
     /// Zeroes every counter and phase timer. The memo cache and the
     /// quarantine list survive so later runs still benefit from earlier
     /// work; call [`EvalEngine::clear_cache`] to drop the cache too.
     pub fn reset_stats(&self) {
-        self.evaluations.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.infeasible.store(0, Ordering::Relaxed);
-        self.quarantined.store(0, Ordering::Relaxed);
-        self.transient_retries.store(0, Ordering::Relaxed);
-        self.failed_layers.store(0, Ordering::Relaxed);
-        self.sw_searches.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.replicate_measurements.store(0, Ordering::Relaxed);
-        self.outliers_rejected.store(0, Ordering::Relaxed);
-        self.fidelity_cheap_evals.store(0, Ordering::Relaxed);
-        self.fidelity_full_evals.store(0, Ordering::Relaxed);
-        self.phase_wall
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        self.counters.reset();
     }
 
     /// Drops every memoized result.
@@ -1564,20 +1570,7 @@ impl EvalEngineBuilder {
             deadline: Mutex::new(None),
             quarantine: Mutex::new(HashSet::new()),
             quarantine_len: AtomicU64::new(0),
-            evaluations: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            infeasible: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            transient_retries: AtomicU64::new(0),
-            failed_layers: AtomicU64::new(0),
-            sw_searches: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            replicate_measurements: AtomicU64::new(0),
-            outliers_rejected: AtomicU64::new(0),
-            fidelity_cheap_evals: AtomicU64::new(0),
-            fidelity_full_evals: AtomicU64::new(0),
-            phase_wall: Mutex::new(BTreeMap::new()),
+            counters: Counters::default(),
         })
     }
 }
@@ -1763,9 +1756,9 @@ mod tests {
     #[test]
     fn phase_timer_accumulates_and_reset_clears() {
         let engine = EvalEngine::default();
-        let v = engine.time_phase("sw_search", || 7);
+        let v = engine.time_phase(Phase::SwSearch, || 7);
         assert_eq!(v, 7);
-        engine.time_phase("sw_search", || ());
+        engine.time_phase(Phase::SwSearch, || ());
         engine.count_sw_search();
         let stats = engine.stats();
         assert_eq!(stats.sw_searches, 1);
@@ -1779,11 +1772,11 @@ mod tests {
     #[test]
     fn add_phase_wall_folds_external_timers_in() {
         let engine = EvalEngine::default();
-        engine.add_phase_wall("surrogate_fit", Duration::from_millis(3));
-        engine.add_phase_wall("acquisition", Duration::from_millis(2));
-        engine.add_phase_wall("surrogate_fit", Duration::from_millis(1));
+        engine.add_phase_wall(Phase::SurrogateFit, Duration::from_millis(3));
+        engine.add_phase_wall(Phase::Acquisition, Duration::from_millis(2));
+        engine.add_phase_wall(Phase::SurrogateFit, Duration::from_millis(1));
         let stats = engine.stats();
-        // BTreeMap order: acquisition before surrogate_fit.
+        // Name order: acquisition before surrogate_fit.
         assert_eq!(
             stats.phase_wall,
             vec![

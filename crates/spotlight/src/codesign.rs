@@ -14,7 +14,9 @@ use rand_chacha::ChaCha8Rng;
 use spotlight_accel::{Budget, HardwareConfig};
 use spotlight_conv::ConvLayer;
 use spotlight_dabo::{Search, Trace};
-use spotlight_eval::{EvalEngine, EvalStats, Fidelity, FidelityMode, FidelitySpec, RobustPolicy};
+use spotlight_eval::{
+    EvalEngine, EvalStats, Fidelity, FidelityMode, FidelitySpec, Phase, RobustPolicy,
+};
 use spotlight_maestro::{CostReport, Objective};
 use spotlight_models::{Model, ModelId};
 use spotlight_obs::seeded::{finalize, GAMMA};
@@ -1419,14 +1421,14 @@ impl Spotlight {
             let sample_obs = self.observer.with_hw_sample(hw_sample as u64);
             let hw = self
                 .engine
-                .time_phase("hw_search", || state.hw_search.suggest(&mut rng));
+                .time_phase(Phase::HwSearch, || state.hw_search.suggest(&mut rng));
             let admitted = self.config.budget.admits(&hw);
             sample_obs.emit_with(|| Event::HwProposed {
                 hw: hw.to_string(),
                 admitted,
             });
             let result = if admitted {
-                self.engine.time_phase("sw_search", || {
+                self.engine.time_phase(Phase::SwSearch, || {
                     self.search_sample(
                         state.fidelity.as_ref(),
                         models,
@@ -1480,9 +1482,9 @@ impl Spotlight {
         // it into the engine's phase accounting before the snapshot. These
         // are sub-phases of `hw_search` wall time, not additional time.
         if let Some(timers) = state.hw_search.surrogate_timers() {
-            self.engine.add_phase_wall("surrogate_fit", timers.fit);
+            self.engine.add_phase_wall(Phase::SurrogateFit, timers.fit);
             self.engine
-                .add_phase_wall("acquisition", timers.acquisition);
+                .add_phase_wall(Phase::Acquisition, timers.acquisition);
         }
         let stats = self.engine.stats();
         let evaluations = stats.evaluations;
