@@ -12,7 +12,7 @@
 //! - the **energy breakdown** showing where each design's joules go.
 
 use spotlight::codesign::Spotlight;
-use spotlight::scenarios::{evaluate_baseline, Scale};
+use spotlight::scenarios::evaluate_baseline;
 use spotlight_accel::Baseline;
 use spotlight_bench::{models_from_env, observer_from_env, Budgets};
 use spotlight_maestro::Objective;
@@ -40,7 +40,7 @@ fn main() {
     }
 
     for baseline in Baseline::FIGURE6 {
-        let (plan, _) = evaluate_baseline(&cfg, baseline, Scale::Edge, model);
+        let (plan, _) = evaluate_baseline(&cfg, baseline, model);
         let hw = baseline.scaled_config(&cfg.budget());
         print_row(baseline.name(), hw.aspect_ratio(), &plan);
     }

@@ -6,7 +6,7 @@
 //! `compare-ae.sh` CSV format via [`rows_to_csv`].
 
 use spotlight::codesign::Spotlight;
-use spotlight::scenarios::{evaluate_baseline, run_confuciux, run_hasco, Scale};
+use spotlight::scenarios::{evaluate_baseline, run_confuciux, run_hasco};
 use spotlight::Variant;
 use spotlight_accel::Baseline;
 use spotlight_maestro::Objective;
@@ -114,8 +114,7 @@ fn baseline_values(
             .objective(objective)
             .build()
             .expect("derived from a valid config");
-        let scale = if cloud { Scale::Cloud } else { Scale::Edge };
-        let (plan, _) = evaluate_baseline(&cfg, baseline, scale, model);
+        let (plan, _) = evaluate_baseline(&cfg, baseline, model);
         plan.objective_value(objective)
     })
 }

@@ -7,7 +7,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use spotlight::report::{final_report, outcome_summary, plan_markdown};
-use spotlight::scenarios::{evaluate_baseline, Scale};
+use spotlight::scenarios::evaluate_baseline;
 use spotlight_cli::{resolve_baseline, resolve_model, Command, USAGE};
 use spotlight_obs::{read_journal_tolerant, EVENT_KINDS};
 use spotlight_runtime::{
@@ -66,18 +66,13 @@ fn run(cmd: Command) -> Result<(), Box<dyn std::error::Error>> {
             let baseline = resolve_baseline(&baseline)?;
             let model = resolve_model(&model)?;
             let cfg = config.to_codesign_config()?;
-            let scale = if config.cloud {
-                Scale::Cloud
-            } else {
-                Scale::Edge
-            };
             let hw = baseline.scaled_config(&cfg.budget());
             eprintln!(
                 "evaluating {} ({hw}) on {}...",
                 baseline.name(),
                 model.name()
             );
-            let (plan, evals) = evaluate_baseline(&cfg, baseline, scale, &model);
+            let (plan, evals) = evaluate_baseline(&cfg, baseline, &model);
             print!("{}", plan_markdown(&plan));
             println!("\ncost-model evaluations: {evals}");
         }

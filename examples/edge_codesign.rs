@@ -15,7 +15,7 @@ use spotlight_repro::accel::Baseline;
 use spotlight_repro::maestro::Objective;
 use spotlight_repro::models::resnet50;
 use spotlight_repro::spotlight::codesign::{CodesignConfig, Spotlight};
-use spotlight_repro::spotlight::scenarios::{evaluate_baseline, Scale};
+use spotlight_repro::spotlight::scenarios::evaluate_baseline;
 
 fn main() {
     let model = resnet50();
@@ -38,7 +38,7 @@ fn main() {
     );
 
     for baseline in Baseline::FIGURE6 {
-        let (plan, _) = evaluate_baseline(&config, baseline, Scale::Edge, &model);
+        let (plan, _) = evaluate_baseline(&config, baseline, &model);
         let delay = plan.objective_value(Objective::Delay);
         println!(
             "{:14}: delay {:.3e} cycles ({:.1}x Spotlight)",

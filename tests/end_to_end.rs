@@ -6,7 +6,7 @@ use spotlight_repro::conv::ConvLayer;
 use spotlight_repro::maestro::Objective;
 use spotlight_repro::models::Model;
 use spotlight_repro::spotlight::codesign::{CodesignConfig, Spotlight};
-use spotlight_repro::spotlight::scenarios::{evaluate_baseline, Scale};
+use spotlight_repro::spotlight::scenarios::evaluate_baseline;
 use spotlight_repro::spotlight::Variant;
 
 fn small_model() -> Model {
@@ -92,7 +92,7 @@ fn spotlight_beats_every_hand_designed_baseline() {
     let model = small_model();
     let spot = Spotlight::new(cfg).codesign(std::slice::from_ref(&model));
     for b in Baseline::FIGURE6 {
-        let (plan, _) = evaluate_baseline(&cfg, b, Scale::Edge, &model);
+        let (plan, _) = evaluate_baseline(&cfg, b, &model);
         let baseline_cost = plan.objective_value(cfg.objective());
         assert!(
             spot.best_cost < baseline_cost,

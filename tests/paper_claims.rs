@@ -14,7 +14,7 @@ use spotlight_repro::models::{transformer, Model};
 use spotlight_repro::space::{sample, ParamRanges};
 use spotlight_repro::spotlight::codesign::{CodesignConfig, Spotlight};
 use spotlight_repro::spotlight::features::{sw_features, SW_FEATURE_NAMES};
-use spotlight_repro::spotlight::scenarios::{evaluate_baseline, Scale};
+use spotlight_repro::spotlight::scenarios::evaluate_baseline;
 use spotlight_repro::spotlight::swsearch::{optimize_schedule, SwSearchConfig};
 use spotlight_repro::spotlight::Variant;
 use spotlight_repro::timeloop::TimeloopModel;
@@ -65,8 +65,8 @@ fn claim_eyeriss_poor_on_transformer() {
     // Use only the attention layers (heaviest GEMMs) to keep this fast.
     let t = transformer();
     let heavy = Model::from_layers("attn", vec![t.heaviest_layer().layer]);
-    let (eyeriss, _) = evaluate_baseline(&cfg, Baseline::EyerissLike, Scale::Edge, &heavy);
-    let (nvdla, _) = evaluate_baseline(&cfg, Baseline::NvdlaLike, Scale::Edge, &heavy);
+    let (eyeriss, _) = evaluate_baseline(&cfg, Baseline::EyerissLike, &heavy);
+    let (nvdla, _) = evaluate_baseline(&cfg, Baseline::NvdlaLike, &heavy);
     assert!(
         eyeriss.total_delay > nvdla.total_delay,
         "eyeriss {} !> nvdla {}",
