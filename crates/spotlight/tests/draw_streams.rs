@@ -1,10 +1,11 @@
 //! Pins the exact draw stream of every software-schedule sampler.
 //!
 //! The golden reports exercise only the Spotlight variant's guided
-//! sampler. These pins also guard Spotlight-F's fixed-dataflow sampler,
-//! the style-constrained baseline samplers, the uniform sampler and the
-//! GA mutator: any change to which schedules they draw, or to how many
-//! RNG words a draw consumes, moves a digest here.
+//! sampler. These pins also guard Spotlight-F's fixed-dataflow draws and
+//! the style-constrained baseline draws (through [`Proposals`], as the
+//! searches make them), the uniform sampler and the GA mutator: any
+//! change to which schedules they draw, or to how many RNG words a draw
+//! consumes, moves a digest here.
 //!
 //! Each stream draws 64 schedules per unique ResNet-50 and Transformer
 //! layer, on two seeded edge-scale accelerators and three seeds, and
@@ -16,9 +17,7 @@ use std::hash::Hasher;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use spotlight::swsearch::{
-    fixed_dataflow_sample, sample_schedule_guided, style_constrained_sample,
-};
+use spotlight::swsearch::{sample_schedule_guided, Proposals};
 use spotlight_accel::{DataflowStyle, HardwareConfig};
 use spotlight_conv::{ConvLayer, DIMS};
 use spotlight_models::{resnet50, transformer};
@@ -104,9 +103,24 @@ fn guided_stream_is_pinned() {
     );
 }
 
+/// Draws through the [`Proposals`] of the current (layer, accelerator),
+/// built once per pair as a search builds them.
+fn proposals_stream(
+    mut draw: impl FnMut(&Proposals, &mut ChaCha8Rng) -> Schedule,
+) -> (u64, Vec<u64>) {
+    let mut built: Option<(ConvLayer, HardwareConfig, Proposals)> = None;
+    stream(|rng, layer, hw, _| {
+        if !matches!(&built, Some((l, h, _)) if l == layer && h == hw) {
+            built = Some((*layer, *hw, Proposals::new(layer, hw)));
+        }
+        let (_, _, proposals) = built.as_ref().expect("built above");
+        draw(proposals, rng)
+    })
+}
+
 #[test]
 fn fixed_dataflow_stream_is_pinned() {
-    let got = stream(|rng, layer, hw, _| fixed_dataflow_sample(rng, layer, hw));
+    let got = proposals_stream(|proposals, rng| proposals.fixed_dataflow(rng));
     assert_stream(
         "fixed dataflow",
         got,
@@ -136,7 +150,7 @@ fn style_constrained_streams_are_pinned() {
     ];
     assert_eq!(pins.map(|p| p.0), DataflowStyle::RIGID);
     for (style, digest, ends) in pins {
-        let got = stream(|rng, layer, hw, _| style_constrained_sample(rng, layer, hw, style));
+        let got = proposals_stream(|proposals, rng| proposals.style_constrained(rng, style));
         assert_stream(&format!("{style:?}"), got, digest, ends);
     }
 }
