@@ -177,6 +177,58 @@ fn robust_sim_run_reproduces_its_golden_report() {
 }
 
 #[test]
+fn resnet50_sim_run_reproduces_its_golden_report() {
+    // The benchmark's noisy 3-replicate median on the tile simulator,
+    // on ResNet-50: its early layers have outer loop nests of tens of
+    // thousands of iterations, where the Transformer goldens' walks are
+    // short.
+    let dir = std::env::temp_dir().join(format!(
+        "spotlight-golden-sim-resnet50-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("temp workdir creates");
+    let report = dir.join("sim_resnet50_report.txt");
+
+    let status = Command::new(BIN)
+        .args([
+            "codesign",
+            "--model",
+            "resnet50",
+            "--scale",
+            "edge",
+            "--backend",
+            "sim",
+            "--hw",
+            "4",
+            "--sw",
+            "12",
+            "--seed",
+            "1",
+            "--noise",
+            "model=gauss,sigma=0.1,seed=1",
+            "--replicates",
+            "3",
+            "--robust-agg",
+            "median",
+            "--out",
+            report.to_str().unwrap(),
+        ])
+        .status()
+        .expect("binary runs");
+    assert!(status.success());
+
+    let golden = std::fs::read_to_string(golden_dir().join("sim_resnet50_report.txt"))
+        .expect("golden ResNet-50 sim report exists");
+    let got = std::fs::read_to_string(&report).expect("report written");
+    assert_eq!(
+        got, golden,
+        "ResNet-50 sim-backend report must be byte-identical to its golden"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn faulted_run_reproduces_its_golden_report() {
     // Seeded worker panics: the fault schedule decides which backend
     // calls panic and are retried, so this pins every injected fault
