@@ -135,7 +135,7 @@ fn analytical_model_agrees_with_the_simulator() {
                 let Ok(a) = model.evaluate(&hw, &sched, &layer) else {
                     continue;
                 };
-                let Ok(s) = simulate(&hw, &sched, &layer, 1 << 18) else {
+                let Ok(s) = simulate(&model, &a, &hw, &sched, &layer, 1 << 18) else {
                     continue;
                 };
                 delay_ratios.push(s.delay_cycles / a.delay_cycles);
