@@ -2,17 +2,18 @@
 //!
 //! Every study is a [`Study`]: budgets, model set and observer in, CSV
 //! text out. [`STUDIES`] names them all, and the `spotlight-bench`
-//! binary runs them by name. Co-design runs report to the observer; the
-//! restricted tools and the single-layer studies do not.
+//! binary runs them by name. Co-design and restricted-tool runs report
+//! to the observer; the single-layer studies do not.
 
 use std::collections::BTreeMap;
 use std::fmt::Write;
+use std::time::Instant;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use spotlight::codesign::{
-    CodesignConfig, CodesignConfigBuilder, CodesignOutcome, ModelPlan, Spotlight,
+    CodesignConfig, CodesignConfigBuilder, CodesignOutcome, ModelPlan, RunStatus, Spotlight,
 };
 use spotlight::features::{all_sw_features, raw_sw_params, sw_features, SW_FEATURE_NAMES};
 use spotlight::scenarios::{
@@ -34,7 +35,7 @@ use spotlight_gp::{
 use spotlight_maestro::{CostModel, Objective};
 use spotlight_models::{all_models, mnasnet, mobilenet_v2, resnet50, transformer, vgg16, Model};
 use spotlight_noc::analyze;
-use spotlight_obs::Observer;
+use spotlight_obs::{Event, Observer};
 use spotlight_space::dataflows::dataflow_schedule;
 use spotlight_space::{cardinality, sample, ParamRanges, Schedule};
 
@@ -77,16 +78,27 @@ fn tools_for(model: &Model) -> impl Iterator<Item = (&'static str, Tool)> {
     confuciux.into_iter().chain(hasco)
 }
 
-/// One edge-scale run of `tool` on `model` per trial.
+/// One edge-scale run of `tool` on `model` per trial, each closed in
+/// the journal by a `run_finished` record as a co-design run is. A
+/// tool's engine injects no faults, so its runs always complete.
 fn tool_runs<'a>(
     b: &'a Budgets,
+    obs: &'a Observer,
     objective: Objective,
     model: &'a Model,
     tool: Tool,
 ) -> impl Iterator<Item = ToolOutcome> + 'a {
     (0..b.trials).map(move |t| {
         let cfg = b.config(CodesignConfig::edge, t, objective, Variant::Spotlight);
-        tool(&cfg, model, &Observer::null())
+        let started = Instant::now();
+        let run = tool(&cfg, model, obs);
+        obs.emit_with(|| Event::RunFinished {
+            best_cost: run.best_cost,
+            evaluations: run.evaluations,
+            wall_ms: started.elapsed().as_millis() as u64,
+            status: RunStatus::Complete.as_str().to_string(),
+        });
+        run
     })
 }
 
@@ -200,7 +212,7 @@ pub fn fig6_rows(b: &Budgets, models: &[Model], obs: &Observer) -> Vec<Row> {
     for model in models {
         push_spotlight_and_baselines(&mut rows, b, obs, CodesignConfig::edge, objective, model);
         for (name, tool) in tools_for(model) {
-            let values = tool_runs(b, objective, model, tool).map(|run| run.best_cost);
+            let values = tool_runs(b, obs, objective, model, tool).map(|run| run.best_cost);
             rows.push(Row::new(objective, model.name(), name, values.collect()));
         }
     }
@@ -268,7 +280,7 @@ pub fn fig8_general(b: &Budgets, _: &[Model], obs: &Observer) -> String {
         }
         let mut general = BTreeMap::new();
         for t in 0..b.trials {
-            let (_, plans) = generalization(&config(200 + t), &train, &eval);
+            let (_, plans) = generalization(&config(200 + t), &train, &eval, obs);
             push_by_model(&mut general, plans, objective);
         }
         for (configuration, per_model) in
@@ -405,7 +417,7 @@ pub fn fig10_ablation(b: &Budgets, models: &[Model], obs: &Observer) -> String {
                 series(objective, model, variant.name(), t, &run.eval_trace);
             }
             for (name, tool) in tools_for(model) {
-                for (t, run) in (0..).zip(tool_runs(b, objective, model, tool)) {
+                for (t, run) in (0..).zip(tool_runs(b, obs, objective, model, tool)) {
                     series(objective, model, name, t, &run.eval_trace);
                 }
             }

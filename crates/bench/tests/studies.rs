@@ -22,7 +22,10 @@ use std::process::Command;
 
 const BIN: &str = env!("CARGO_BIN_EXE_spotlight-bench");
 
-fn check(study: &str) {
+/// Runs `study` at the pin budget in a fresh working directory,
+/// returning its stdout and, when `journal` names a file there for
+/// `SPOTLIGHT_JOURNAL`, what the study journaled.
+fn run(study: &str, journal: Option<&str>) -> (String, Option<String>) {
     let dir = std::env::temp_dir().join(format!("spotlight-study-{study}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create working directory");
     let mut cmd = Command::new(BIN);
@@ -36,20 +39,30 @@ fn check(study: &str) {
         .env("SPOTLIGHT_TRIALS", "1")
         .env("SPOTLIGHT_HW", "2")
         .env("SPOTLIGHT_SW", "3")
+        .envs(journal.map(|file| ("SPOTLIGHT_JOURNAL", file)))
         .current_dir(&dir)
         .output()
         .expect("run study");
+    let journaled =
+        journal.map(|file| std::fs::read_to_string(dir.join(file)).expect("read journal"));
     std::fs::remove_dir_all(&dir).ok();
     assert!(
         out.status.success(),
         "{study} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    (
+        String::from_utf8(out.stdout).expect("utf-8 output"),
+        journaled,
+    )
+}
+
+fn check(study: &str) {
+    let (got, _) = run(study, None);
     let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(format!("{study}.csv"));
     let want = std::fs::read_to_string(&golden).expect("read golden");
-    let got = String::from_utf8(out.stdout).expect("utf-8 output");
     assert!(got == want, "{study} drifted from its golden:\n{got}");
 }
 
@@ -78,3 +91,19 @@ study_tests!(
     noc_analysis,
     ablation_design,
 );
+
+/// `SPOTLIGHT_JOURNAL` records every run a study makes: fig6_edge runs
+/// Spotlight on ResNet-50 and Transformer and ConfuciuX and HASCO on
+/// ResNet-50, four runs in all, and its output does not change.
+#[test]
+fn journal_records_every_study_run() {
+    let (got, journal) = run("fig6_edge", Some("study.jsonl"));
+    let journal = journal.expect("journal requested");
+    let finished = journal
+        .lines()
+        .filter(|l| l.contains("\"type\":\"run_finished\""))
+        .count();
+    assert_eq!(finished, 4, "{journal}");
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/fig6_edge.csv");
+    assert_eq!(got, std::fs::read_to_string(golden).expect("read golden"));
+}

@@ -46,6 +46,7 @@
 //! ```
 
 pub mod acquisition;
+mod dedup;
 pub mod features;
 pub mod optimizer;
 pub mod search;

@@ -9,6 +9,7 @@ use spotlight_gp::{
 };
 
 use crate::acquisition::{argmax_ei, argmin_lcb};
+use crate::dedup::RowDedup;
 use crate::features::{FeatureMap, Standardizer};
 use crate::search::{Sampler, Search, SurrogateTimers};
 use crate::suffstats::SuffStats;
@@ -147,6 +148,7 @@ pub struct Dabo<P, M> {
     means: Vec<f64>,
     stds: Vec<f64>,
     predict_scratch: PredictScratch,
+    dedup: RowDedup,
 }
 
 impl<P, M: FeatureMap<P>> Dabo<P, M> {
@@ -178,6 +180,7 @@ impl<P, M: FeatureMap<P>> Dabo<P, M> {
             means: Vec::new(),
             stds: Vec::new(),
             predict_scratch: PredictScratch::default(),
+            dedup: RowDedup::default(),
         }
     }
 
@@ -338,9 +341,9 @@ impl<P, M: FeatureMap<P>> Search<P> for Dabo<P, M> {
         // poisoned to NaN, which the argmin/argmax helpers filter out —
         // small sampler spaces no longer burn acquisition slots on copies.
         self.preds.clear();
+        self.dedup.start(batch);
         for i in 0..batch {
-            let dup = (0..i).any(|j| self.cand_raw.row(j) == self.cand_raw.row(i));
-            if dup {
+            if self.dedup.is_duplicate(&self.cand_raw, i) {
                 self.preds.push((f64::NAN, f64::NAN));
             } else {
                 self.preds.push((self.means[i], self.stds[i]));

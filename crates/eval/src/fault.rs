@@ -14,6 +14,7 @@
 //! order across keys. Two runs that evaluate the same set of triples see
 //! the same faults on the same triples even if the interleaving differs.
 
+use std::cell::Cell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
@@ -29,12 +30,28 @@ use crate::{CostBackend, EvalError};
 
 /// Stable 64-bit FNV-1a fingerprint of an evaluation triple. Shared by
 /// the fault and noise schedules and the engine's quarantine list.
+///
+/// The engine measures a point's replicates back to back, and the fault
+/// and noise decorators both fingerprint every replicate, so each thread
+/// keeps the last triple it fingerprinted and reuses its value.
 pub fn key_fingerprint(hw: &HardwareConfig, sched: &Schedule, layer: &ConvLayer) -> u64 {
-    let mut h = Fnv1a::default();
-    hw.hash(&mut h);
-    sched.hash(&mut h);
-    layer.hash(&mut h);
-    h.finish()
+    type Triple = (HardwareConfig, Schedule, ConvLayer);
+    thread_local! {
+        static LAST: Cell<Option<(Triple, u64)>> = const { Cell::new(None) };
+    }
+    let triple = (*hw, *sched, *layer);
+    LAST.with(|last| match last.get() {
+        Some((t, fp)) if t == triple => fp,
+        _ => {
+            let mut h = Fnv1a::default();
+            hw.hash(&mut h);
+            sched.hash(&mut h);
+            layer.hash(&mut h);
+            let fp = h.finish();
+            last.set(Some((triple, fp)));
+            fp
+        }
+    })
 }
 
 const GRAMMAR: Grammar = Grammar {

@@ -81,6 +81,7 @@
 
 mod fault;
 mod fidelity;
+mod memo;
 mod noise;
 mod robust;
 
@@ -93,7 +94,7 @@ pub use robust::{
 };
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -419,49 +420,8 @@ pub fn backend_by_name(name: &str) -> Result<Box<dyn CostBackend>, UnknownBacken
 type CacheKey = (HardwareConfig, Schedule, ConvLayer, Fidelity);
 type CacheValue = Result<(CostReport, ReplicateSummary), EvalError>;
 
-/// The memo cache: a hash map plus an insertion-order queue that backs
-/// the deterministic FIFO eviction policy of a capacity-bounded cache.
-/// With no capacity set (the default) the queue stays empty and the
-/// behaviour is the historical unbounded map.
-struct MemoCache {
-    map: HashMap<CacheKey, CacheValue>,
-    /// Insertion order of the resident keys; maintained only when a
-    /// capacity is set.
-    order: std::collections::VecDeque<CacheKey>,
-    cap: Option<usize>,
-}
-
-impl MemoCache {
-    fn new(cap: Option<usize>) -> Self {
-        MemoCache {
-            map: HashMap::new(),
-            order: std::collections::VecDeque::new(),
-            cap,
-        }
-    }
-
-    /// Inserts `value`, evicting oldest entries past the capacity.
-    /// Returns how many entries were evicted.
-    fn insert(&mut self, key: CacheKey, value: CacheValue) -> u64 {
-        let mut evicted = 0;
-        if self.map.insert(key, value).is_none() {
-            if let Some(cap) = self.cap {
-                self.order.push_back(key);
-                while self.map.len() > cap {
-                    match self.order.pop_front() {
-                        Some(old) => {
-                            if self.map.remove(&old).is_some() {
-                                evicted += 1;
-                            }
-                        }
-                        None => break,
-                    }
-                }
-            }
-        }
-        evicted
-    }
-}
+/// The engine's memo cache (see [`memo`]).
+type MemoCache = memo::MemoCache<CacheKey, CacheValue>;
 
 /// A memo-cache handle that several [`EvalEngine`]s can share.
 ///
@@ -498,7 +458,6 @@ impl SharedCache {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .map
             .len()
     }
 
@@ -976,7 +935,6 @@ impl EvalEngine {
                 let cached = cache
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
-                    .map
                     .get(&key)
                     .copied();
                 match cached {
@@ -1284,16 +1242,14 @@ impl EvalEngine {
     /// Drops every memoized result.
     pub fn clear_cache(&self) {
         if let Some(cache) = &self.cache {
-            let mut guard = cache.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.map.clear();
-            guard.order.clear();
+            cache.lock().unwrap_or_else(PoisonError::into_inner).clear();
         }
     }
 
     /// Number of distinct triples currently memoized.
     pub fn cache_len(&self) -> usize {
         self.cache.as_ref().map_or(0, |c| {
-            c.lock().unwrap_or_else(PoisonError::into_inner).map.len()
+            c.lock().unwrap_or_else(PoisonError::into_inner).len()
         })
     }
 

@@ -602,9 +602,17 @@ impl Pipeline {
         let load_cycles = load / self.dram_bandwidth;
         let dram_done = self.dram_free + load_cycles;
         self.dram_free = dram_done;
-        let start = dram_done.max(self.array_free);
-        self.stall += (dram_done - self.array_free).max(0.0);
-        self.array_free = start + self.array_time_per_tile;
+        // `start = max(dram_done, array_free)` and
+        // `stall += max(dram_done - array_free, 0)` as one branch, which
+        // predicts well and keeps a `max` off the loop-carried chain. Bit
+        // for bit the same: the untaken side would add `+0.0` to a stall
+        // that starts at `+0.0` and only grows.
+        if dram_done > self.array_free {
+            self.stall += dram_done - self.array_free;
+            self.array_free = dram_done + self.array_time_per_tile;
+        } else {
+            self.array_free += self.array_time_per_tile;
+        }
     }
 }
 

@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hasher;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::str::FromStr;
 use std::sync::{Mutex, PoisonError};
 
@@ -92,7 +92,29 @@ impl Hasher for Fnv1a {
 /// uses this, which keeps the ordinal — and hence the schedule —
 /// thread-invariant.
 #[derive(Debug, Default)]
-pub struct Ordinals(Mutex<HashMap<u64, u64>>);
+pub struct Ordinals(Mutex<HashMap<u64, u64, BuildHasherDefault<KeyIsHash>>>);
+
+/// The hasher of [`Ordinals`]' table. Its keys are fingerprints, already
+/// mixed 64-bit hashes, so a key is its own hash.
+#[derive(Default)]
+struct KeyIsHash(u64);
+
+impl Hasher for KeyIsHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    /// Not reached by `u64` keys; folds the bytes in for completeness.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+}
 
 impl Ordinals {
     /// The ordinal of this call for `key`, advancing it.

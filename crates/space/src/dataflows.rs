@@ -91,6 +91,7 @@ fn spec(style: DataflowStyle) -> StyleSpec {
 pub fn dataflow_schedule(style: DataflowStyle, layer: &ConvLayer, hw: &HardwareConfig) -> Schedule {
     let spec = spec(style);
     let extents = layer.extents();
+    let divisors = extents.map(Divisors::of);
 
     // Reserve parallel iterations for the outer unroll up front: cap the
     // unrolled dimension's L2 tile so DRAM-level trips cover the PE rows,
@@ -100,22 +101,23 @@ pub fn dataflow_schedule(style: DataflowStyle, layer: &ConvLayer, hw: &HardwareC
     // enforces).
     let rows = hw.pe_rows() as u64;
     let mut l2_caps = extents;
-    l2_caps[spec.outer_unroll.index()] = unroll_cap(extents[spec.outer_unroll.index()], rows);
+    let outer = spec.outer_unroll.index();
+    l2_caps[outer] = unroll_cap(&divisors[outer], extents[outer], rows);
     let l2_fits = |t: &[u64; NUM_DIMS]| {
         l2_residency(t, layer, spec.outer_unroll, &extents, rows) <= hw.l2_bytes()
     };
     let mut l2 = [1u64; NUM_DIMS];
-    grow_tiles(&mut l2, &l2_caps, &spec.l2_priority, &l2_fits);
+    grow_tiles(&mut l2, &l2_caps, &divisors, &spec.l2_priority, &l2_fits);
 
     // Same for the RF tile: cap the inner unroll so L2-level trips cover
     // the PE columns, then grow under the per-PE RF capacity.
     let mut rf_caps = l2;
-    rf_caps[spec.inner_unroll.index()] =
-        unroll_cap(l2[spec.inner_unroll.index()], hw.pe_width() as u64);
+    let inner = spec.inner_unroll.index();
+    rf_caps[inner] = unroll_cap(&divisors[inner], l2[inner], hw.pe_width() as u64);
     let rf_budget = hw.rf_bytes_per_pe();
     let rf_fits = |t: &[u64; NUM_DIMS]| footprint(t, layer) <= rf_budget;
     let mut rf = [1u64; NUM_DIMS];
-    grow_tiles(&mut rf, &rf_caps, &spec.rf_priority, &rf_fits);
+    grow_tiles(&mut rf, &rf_caps, &divisors, &spec.rf_priority, &rf_fits);
 
     let tiles = TileSizes::new(layer, l2, rf).expect("constructed chains are legal");
     Schedule::new(
@@ -157,22 +159,23 @@ pub const TEMPLATE_ARRAY_DIM: u64 = 16;
 pub fn template_schedule(style: DataflowStyle, layer: &ConvLayer) -> Schedule {
     let spec = spec(style);
     let extents = layer.extents();
+    let divisors = extents.map(Divisors::of);
 
     let mut l2_caps = extents;
-    l2_caps[spec.outer_unroll.index()] =
-        unroll_cap(extents[spec.outer_unroll.index()], TEMPLATE_ARRAY_DIM);
+    let outer = spec.outer_unroll.index();
+    l2_caps[outer] = unroll_cap(&divisors[outer], extents[outer], TEMPLATE_ARRAY_DIM);
     let l2_fits = |t: &[u64; NUM_DIMS]| {
         l2_residency(t, layer, spec.outer_unroll, &extents, TEMPLATE_ARRAY_DIM) <= TEMPLATE_L2_BYTES
     };
     let mut l2 = [1u64; NUM_DIMS];
-    grow_tiles(&mut l2, &l2_caps, &spec.l2_priority, &l2_fits);
+    grow_tiles(&mut l2, &l2_caps, &divisors, &spec.l2_priority, &l2_fits);
 
     let mut rf_caps = l2;
-    rf_caps[spec.inner_unroll.index()] =
-        unroll_cap(l2[spec.inner_unroll.index()], TEMPLATE_ARRAY_DIM);
+    let inner = spec.inner_unroll.index();
+    rf_caps[inner] = unroll_cap(&divisors[inner], l2[inner], TEMPLATE_ARRAY_DIM);
     let rf_fits = |t: &[u64; NUM_DIMS]| footprint(t, layer) <= TEMPLATE_RF_BYTES;
     let mut rf = [1u64; NUM_DIMS];
-    grow_tiles(&mut rf, &rf_caps, &spec.rf_priority, &rf_fits);
+    grow_tiles(&mut rf, &rf_caps, &divisors, &spec.rf_priority, &rf_fits);
 
     let tiles = TileSizes::new(layer, l2, rf).expect("constructed chains are legal");
     Schedule::new(
@@ -198,10 +201,12 @@ pub fn rigid_schedules(layer: &ConvLayer, hw: &HardwareConfig) -> Vec<(DataflowS
 }
 
 /// Grows `tiles` toward `caps` along `priority` (round-robin over next
-/// divisors) while `fits` accepts the candidate.
+/// divisors) while `fits` accepts the candidate. Each cap divides its
+/// dimension's extent, whose divisors `divisors` holds.
 fn grow_tiles(
     tiles: &mut [u64; NUM_DIMS],
     caps: &[u64; NUM_DIMS],
+    divisors: &[Divisors; NUM_DIMS],
     priority: &[Dim; NUM_DIMS],
     fits: &dyn Fn(&[u64; NUM_DIMS]) -> bool,
 ) {
@@ -212,7 +217,7 @@ fn grow_tiles(
             if tiles[i] == caps[i] {
                 continue;
             }
-            let next = next_divisor(caps[i], tiles[i]);
+            let next = next_divisor(&divisors[i], caps[i], tiles[i]);
             let mut candidate = *tiles;
             candidate[i] = next;
             if fits(&candidate) {
@@ -253,26 +258,28 @@ fn l2_residency(
 /// Largest tile for an unrolled dimension of extent `cap` such that the
 /// trip count covers `lanes` parallel units: the biggest divisor of `cap`
 /// at most `cap / lanes` (1 when the dimension is smaller than the
-/// array, i.e. fully unrolled).
-fn unroll_cap(cap: u64, lanes: u64) -> u64 {
+/// array, i.e. fully unrolled). `cap` divides the number whose ascending
+/// divisors are `divisors`, so its own are those that divide it.
+fn unroll_cap(divisors: &[u64], cap: u64, lanes: u64) -> u64 {
     if cap < lanes {
         return 1;
     }
     let target = (cap / lanes).max(1);
-    Divisors::of(cap)
+    divisors
         .iter()
         .copied()
-        .filter(|&t| t <= target)
+        .filter(|&t| t <= target && cap.is_multiple_of(t))
         .max()
         .unwrap_or(1)
 }
 
-/// Smallest divisor of `cap` strictly greater than `current`.
-fn next_divisor(cap: u64, current: u64) -> u64 {
-    Divisors::of(cap)
+/// Smallest divisor of `cap` strictly greater than `current`, where
+/// `cap` divides the number whose ascending divisors are `divisors`.
+fn next_divisor(divisors: &[u64], cap: u64, current: u64) -> u64 {
+    divisors
         .iter()
         .copied()
-        .find(|&d| d > current)
+        .find(|&d| d > current && cap.is_multiple_of(d))
         .unwrap_or(cap)
 }
 
@@ -385,10 +392,13 @@ mod tests {
 
     #[test]
     fn next_divisor_walks_the_chain() {
-        assert_eq!(next_divisor(12, 1), 2);
-        assert_eq!(next_divisor(12, 2), 3);
-        assert_eq!(next_divisor(12, 6), 12);
-        assert_eq!(next_divisor(12, 12), 12);
+        let twelve = Divisors::of(12);
+        assert_eq!(next_divisor(&twelve, 12, 1), 2);
+        assert_eq!(next_divisor(&twelve, 12, 2), 3);
+        assert_eq!(next_divisor(&twelve, 12, 6), 12);
+        assert_eq!(next_divisor(&twelve, 12, 12), 12);
+        // A cap below the extent skips the extent's other divisors (8).
+        assert_eq!(next_divisor(&Divisors::of(24), 12, 6), 12);
     }
 
     #[test]
@@ -442,5 +452,39 @@ mod template_tests {
         let template = template_schedule(DataflowStyle::WeightStationary, &layer);
         let fp = |s: &Schedule| s.tiles().footprint_bytes(TileLevel::Scratchpad, &layer);
         assert!(fp(&adaptive) > fp(&template));
+    }
+
+    #[test]
+    fn divisor_steps_match_enumerating_the_cap() {
+        // The growth steps read the extent's divisors, enumerated once,
+        // in place of the cap's own: the same answer for every cap that
+        // divides the extent, at every current tile and lane count.
+        for extent in 1..=240u64 {
+            let divisors = Divisors::of(extent);
+            for &cap in divisors.iter() {
+                let own = Divisors::of(cap);
+                for &current in own.iter().filter(|&&d| d < cap) {
+                    let expected = own.iter().copied().find(|&d| d > current).unwrap_or(cap);
+                    assert_eq!(next_divisor(&divisors, cap, current), expected);
+                }
+                for lanes in 1..=20 {
+                    let expected = if cap < lanes {
+                        1
+                    } else {
+                        let target = (cap / lanes).max(1);
+                        own.iter()
+                            .copied()
+                            .filter(|&t| t <= target)
+                            .max()
+                            .unwrap_or(1)
+                    };
+                    assert_eq!(
+                        unroll_cap(&divisors, cap, lanes),
+                        expected,
+                        "{extent} {cap} {lanes}"
+                    );
+                }
+            }
+        }
     }
 }

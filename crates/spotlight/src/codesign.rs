@@ -956,10 +956,13 @@ impl Spotlight {
 
         // One pool per call: workers claim layers from a shared cursor
         // until the list runs out, so no worker waits on another's
-        // slowest layer. Each result lands in its own slot; a slot left
-        // empty marks a panicked layer.
-        let slots: Vec<OnceLock<_>> = ordinals.iter().map(|_| OnceLock::new()).collect();
+        // slowest layer. Each layer's outcome lands in its own slot:
+        // `Some` with the result and event buffer, `None` for a panic.
+        let slots: Vec<OnceLock<Option<_>>> = ordinals.iter().map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);
+        // With a pool and a journal, the caller forwards finished layers'
+        // events while the pool runs, and each worker wakes it per layer.
+        let caller = (threads > 1 && observer.is_enabled()).then(std::thread::current);
         let work = || loop {
             // Relaxed: the cursor only hands out indices; results publish
             // through the slots and the scope's join.
@@ -967,21 +970,43 @@ impl Spotlight {
             let Some(&ordinal) = ordinals.get(i) else {
                 break;
             };
-            if let Some(done) = run_guarded(ordinal) {
-                let _ = slots[i].set(done);
+            let _ = slots[i].set(run_guarded(ordinal));
+            if let Some(caller) = &caller {
+                caller.unpark();
             }
         };
-        // At one thread the caller runs the loop itself. Otherwise it only
-        // waits: on the process's main thread the caller allocates from
-        // glibc's main arena, which spawned workers also end up drawing
-        // from, and a caller searching layers beside them made the
-        // allocation-heavy candidate sampler contend on that arena's lock.
+        // At one thread the caller runs the loop itself. Otherwise it
+        // searches no layer: on the process's main thread the caller
+        // allocates from glibc's main arena, which spawned workers also
+        // end up drawing from, and a caller searching layers beside them
+        // made the allocation-heavy candidate sampler contend on that
+        // arena's lock. It only renders journal records, in ordinal order,
+        // as soon as a layer and every layer before it are done, so that
+        // serial work overlaps the pool instead of following it. It stops
+        // at the first panicked layer, whose retry runs after the join.
         if threads == 1 {
             work();
         } else {
             std::thread::scope(|scope| {
                 for _ in 0..threads.min(ordinals.len()) {
                     scope.spawn(work);
+                }
+                if caller.is_none() {
+                    return;
+                }
+                for slot in &slots {
+                    let done = loop {
+                        match slot.get() {
+                            Some(done) => break done,
+                            None => std::thread::park(),
+                        }
+                    };
+                    let Some((_, buffer)) = done else {
+                        break;
+                    };
+                    if let Some(buffer) = buffer {
+                        observer.forward(buffer);
+                    }
                 }
             });
         }
@@ -990,8 +1015,9 @@ impl Spotlight {
         for (&ordinal, slot) in ordinals.iter().zip(slots) {
             // Retries run inline after the pool joins, in ordinal order,
             // so the merged event stream stays thread-invariant under a
-            // deterministic fault plan.
-            let (r, buffer) = match slot.into_inner() {
+            // deterministic fault plan. Buffers forwarded during the pool
+            // are empty by now.
+            let (r, buffer) = match slot.into_inner().flatten() {
                 Some(done) => done,
                 None => {
                     let layer_obs = observer.with_layer(ordinal as u64);

@@ -217,13 +217,14 @@ const GENERALIZATION_STREAM: u64 = 0x9e4e_7a11_0000_0000;
 /// model on the resulting hardware.
 ///
 /// Returns the co-design outcome on the training set and the plans for
-/// the held-out models.
+/// the held-out models. Both searches report to `obs`.
 pub fn generalization(
     config: &CodesignConfig,
     train: &[Model],
     eval: &[Model],
+    obs: &Observer,
 ) -> (CodesignOutcome, Vec<ModelPlan>) {
-    let tool = Spotlight::new(*config);
+    let tool = Spotlight::new(*config).with_observer(obs.clone());
     let outcome = tool.codesign(train);
     let plans = match outcome.best_hw {
         Some(hw) => {
@@ -368,7 +369,7 @@ mod tests {
             "heldout",
             vec![ConvLayer::new(1, 8, 8, 3, 3, 7, 7)],
         )];
-        let (outcome, plans) = generalization(&cfg(), &train, &eval);
+        let (outcome, plans) = generalization(&cfg(), &train, &eval, &Observer::null());
         assert!(outcome.best_hw.is_some());
         assert_eq!(plans.len(), 1);
         assert_eq!(plans[0].model_name, "heldout");

@@ -11,6 +11,7 @@
 
 use spotlight_repro::maestro::Objective;
 use spotlight_repro::models::{mnasnet, mobilenet_v2, resnet50};
+use spotlight_repro::obs::Observer;
 use spotlight_repro::spotlight::codesign::{CodesignConfig, Spotlight};
 use spotlight_repro::spotlight::scenarios::generalization;
 
@@ -43,7 +44,7 @@ fn main() {
     // Scenario 2: generalize to a model unseen at design time.
     let train = vec![resnet50(), mobilenet_v2()];
     let eval = vec![mnasnet()];
-    let (train_outcome, eval_plans) = generalization(&config, &train, &eval);
+    let (train_outcome, eval_plans) = generalization(&config, &train, &eval, &Observer::null());
     println!(
         "\ngeneralization ASIC (trained on ResNet-50 + MobileNetV2): {}",
         train_outcome.best_hw.expect("feasible")
