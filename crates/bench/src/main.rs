@@ -7,7 +7,7 @@
 //!
 //! Budgets and the model set come from the `SPOTLIGHT_*` environment
 //! (see the library docs); `SPOTLIGHT_JOURNAL=<path>` appends the events
-//! of every Spotlight co-design run to one JSONL journal.
+//! of every co-design and restricted-tool run to one JSONL journal.
 
 use std::process::ExitCode;
 use std::sync::Arc;
